@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockvec import AgentPartition, Preconditioner, PrimalDualState
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, GnesError, NumericError
 from .graph import CommGraph, laplacian_block
 from .operators import ExtendedOperator, GameProblem
 from .solver import (
@@ -404,9 +404,8 @@ def run_distributed(
             rec.post_step(k, x_new, alpha, rho, size)
             x_prev = x
             x = x_new
-    except NumericError as err:
-        rec.finish(x, k, False)
-        err.trace = trace
+    except GnesError as err:
+        rec.abort(err, x, k)
         raise
     rec.finish(x, k, stopped)
     report = NetworkReport(

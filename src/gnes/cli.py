@@ -60,6 +60,10 @@ _SOURCES = ("builtin", "instance", "instance_path", "cournot")
 _NOISE_KINDS = ("zero", "gaussian")
 _SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverParams)}
 _TOP_FIELDS = ("problem", "solver", "noise", "seed", "reps", "out", "variants", "alpha_sweep")
+_OPTIONAL_NUMBERS = ("tol_res", "rho_fixed")
+_NUMBERS = ("alpha_bar", "nu", "tol", "rho_scale") + _OPTIONAL_NUMBERS
+_INTEGERS = ("max_iters", "trace_every")
+_FLAGS = ("diagnostics", "enforce_admissibility")
 
 
 @dataclass
@@ -76,6 +80,33 @@ class RunConfig:
     alpha_sweep: tuple[float, ...] | None = None
 
 
+def _number(value, field: str) -> float:
+    """A JSON number as a float; any other value is a configuration error."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigurationError(
+        f"{field} must be a number, not {type(value).__name__}", field=field
+    )
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer; floats, strings and booleans are configuration errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(
+            f"{field} must be an integer, not {type(value).__name__}", field=field
+        )
+    return value
+
+
+def _sequence(value, field: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{field} must be a list", field=field)
+    return list(value)
+
+
 def _parse_solver(doc: dict) -> SolverParams:
     if not isinstance(doc, dict):
         raise ConfigurationError("solver section must be a mapping", field="solver")
@@ -85,6 +116,13 @@ def _parse_solver(doc: dict) -> SolverParams:
             f"unknown solver fields: {', '.join(unknown)}", field="solver"
         )
     kwargs = dict(doc)
+    for name, value in doc.items():
+        if name in _INTEGERS:
+            kwargs[name] = _integer(value, name)
+        elif name in _FLAGS and not isinstance(value, bool):
+            raise ConfigurationError(f"{name} must be true or false", field=name)
+        elif name in _NUMBERS and not (value is None and name in _OPTIONAL_NUMBERS):
+            kwargs[name] = _number(value, name)
     if "batch" in kwargs:
         batch = kwargs["batch"]
         if not isinstance(batch, dict) or set(batch) - {"scale", "growth"}:
@@ -92,10 +130,10 @@ def _parse_solver(doc: dict) -> SolverParams:
                 "batch must be a mapping with fields scale and growth", field="batch"
             )
         kwargs["batch"] = BatchSchedule(
-            scale=float(batch.get("scale", 1.0)),
-            growth=float(batch.get("growth", 1.2)),
+            scale=_number(batch.get("scale", 1.0), "batch"),
+            growth=_number(batch.get("growth", 1.2), "batch"),
         )
-    steps = kwargs.get("steps")
+    steps = kwargs.get("steps", "auto")
     if isinstance(steps, (list, tuple)):
         if len(steps) != 3:
             raise ConfigurationError(
@@ -103,7 +141,9 @@ def _parse_solver(doc: dict) -> SolverParams:
                 "(primal, consensus, multiplier)",
                 field="steps",
             )
-        kwargs["steps"] = tuple(float(v) for v in steps)
+        kwargs["steps"] = tuple(_number(v, "steps") for v in steps)
+    elif steps != "auto":
+        kwargs["steps"] = _number(steps, "steps")
     return SolverParams(**kwargs)
 
 
@@ -144,15 +184,20 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigurationError(
                 "zero noise takes no parameters; gaussian takes sd", field="noise"
             )
-    seed = int(doc.get("seed", 0))
+        if "sd" in noise:
+            _number(noise["sd"], "noise")
+    seed = _integer(doc.get("seed", 0), "seed")
     if not 0 <= seed < 2**64:
         raise ConfigurationError("seed must fit in an unsigned 64-bit word", field="seed")
-    reps = int(doc.get("reps", 1))
+    reps = _integer(doc.get("reps", 1), "reps")
     if reps < 1:
         raise ConfigurationError("replication count must be >= 1", field="reps")
+    out = doc.get("out", "out")
+    if not isinstance(out, str):
+        raise ConfigurationError("out must be a path string", field="out")
     variants = doc.get("variants")
     if variants is not None:
-        variants = tuple(str(v) for v in variants)
+        variants = tuple(str(v) for v in _sequence(variants, "variants"))
         bad = [v for v in variants if v not in VARIANTS]
         if bad:
             raise ConfigurationError(
@@ -160,7 +205,7 @@ def parse_config(doc: dict) -> RunConfig:
             )
     sweep = doc.get("alpha_sweep")
     if sweep is not None:
-        sweep = tuple(float(a) for a in sweep)
+        sweep = tuple(_number(a, "alpha_sweep") for a in _sequence(sweep, "alpha_sweep"))
         if any(not 0.0 <= a < 1.0 for a in sweep):
             raise ConfigurationError(
                 "inertia sweep values must lie in [0, 1)", field="alpha_sweep"
@@ -175,7 +220,7 @@ def parse_config(doc: dict) -> RunConfig:
         noise=copy.deepcopy(noise),
         seed=seed,
         reps=reps,
-        out=str(doc.get("out", "out")),
+        out=out,
         variants=variants,
         alpha_sweep=sweep,
     )
@@ -230,11 +275,20 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-")
     try:
+        # mkstemp makes the file private; give it the mode that opening
+        # the path directly would have given under the current umask
+        os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -447,6 +501,11 @@ def _lambda_floor(partition, states) -> float:
     return min(float(x[d + nm:].min()) for x in states)
 
 
+def _least(slacks: np.ndarray) -> float:
+    """Smallest slack of a check, its margin; 0.0 for a run without iterations."""
+    return float(slacks.min()) if slacks.size else 0.0
+
+
 def cmd_verify(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     """Check the per-iteration recursion inequalities along one run."""
     params = dataclasses.replace(config.solver, diagnostics=True, trace_every=1)
@@ -465,10 +524,10 @@ def cmd_verify(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     part = problem.partition
 
     checks = [
-        ("fundamental_recursion", report.fr_violations, float(report.fr_slack.min(initial=0.0))),
-        ("step_residual_bound", report.yzg_violations, float(report.yzg_slack.min(initial=0.0))),
-        ("energy_nonnegative", report.h_violations, float(report.h.min(initial=0.0))),
-        ("coupling", report.coupling_violations, float(-report.coupling.max(initial=0.0))),
+        ("fundamental_recursion", report.fr_violations, _least(report.fr_slack)),
+        ("step_residual_bound", report.yzg_violations, _least(report.yzg_slack)),
+        ("energy_nonnegative", report.h_violations, _least(report.h)),
+        ("coupling", report.coupling_violations, _least(-report.coupling)),
     ]
     # only Y_k passes through the resolvent each iteration; the relaxed
     # X_{k+1} and the extrapolated Z_k can dip below zero in the

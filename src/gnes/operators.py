@@ -14,6 +14,7 @@ lambda, are variational equilibria of the game.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,6 +135,16 @@ class GameProblem:
         self.hi_stack = np.concatenate(hi)
         self.D_stack = np.hstack(self.D)
         self.b_total = np.sum(np.stack(self.b), axis=0)
+        # per constraint row: its nonzero columns with their entries and
+        # box bounds, and the least value D_r u takes on the box
+        self.row_support = tuple(
+            (cols, row[cols], self.lo_stack[cols], self.hi_stack[cols])
+            for row in self.D_stack
+            for cols in (np.flatnonzero(row),)
+        )
+        self.row_floor = np.array([
+            float(np.minimum(a * lo_r, a * hi_r).sum()) for _, a, lo_r, hi_r in self.row_support
+        ])
         small = min(self.D_stack.shape)
         gram = self.D_stack @ self.D_stack.T if small == m else self.D_stack.T @ self.D_stack
         self.d_norm = float(np.sqrt(max(largest_eigenvalue_psd(gram), 0.0)))
@@ -319,6 +330,64 @@ def residual_r_psi(op: ExtendedOperator, x: PrimalDualState, psi: Preconditioner
     return op.r_psi_flat(x.data, psi)
 
 
+def _row_multiplier(base, a, lo, hi, c) -> float:
+    """Smallest t >= 0 with a . clip(base - t a, lo, hi) <= c.
+
+    g(t) = a . clip(base - t a, lo, hi) - c is nonincreasing and piecewise
+    linear: coordinate j adds slope -a_j^2 while it travels between its
+    bounds and is constant before and after. With the kinks tau_k sorted
+    and delta_k the slope change at each, g(t) = g(0) + s t
+    - sum_{tau_k < t} delta_k (tau_k - t) for the slope s at t = 0, so
+    running sums give g at every kink, and the root is solved on the
+    piece where g stops being positive. Only the row's own columns are
+    passed, so every a_j is nonzero.
+    """
+    g0 = float(a @ np.clip(base, lo, hi)) - c
+    if g0 <= 0.0:
+        return 0.0
+    t_lo = (base - lo) / a
+    t_hi = (base - hi) / a
+    enter = np.minimum(t_lo, t_hi)
+    leave = np.maximum(t_lo, t_hi)
+    sq = a * a
+    slope = -float(sq[(enter <= 0.0) & (leave > 0.0)].sum())
+    times = np.concatenate((enter, leave))
+    kinks = np.concatenate((-sq, sq))
+    ahead = np.flatnonzero((times > 0.0) & (times < np.inf))
+    order = ahead[np.argsort(times[ahead])]
+    times = times[order]
+    kinks = kinks[order]
+    slopes = slope + np.cumsum(kinks)
+    offsets = np.cumsum(kinks * times)
+    below = np.flatnonzero(g0 + slopes * times - offsets <= 0.0)
+    if below.size:
+        # the root lies on the piece that ends at kink i
+        i = int(below[0])
+        slope = float(slopes[i] - kinks[i])
+        offset = float(offsets[i] - kinks[i] * times[i])
+        end = float(times[i])
+    elif times.size:
+        slope = float(slopes[-1])
+        offset = float(offsets[-1])
+        end = float(times[-1])
+    else:
+        offset = end = 0.0
+    if slope >= 0.0:
+        # only rounding lands here (rows that cannot be met inside the
+        # box are rejected before the sweeps); g is lowest from `end` on
+        return end
+    return (g0 - offset) / -slope
+
+
+def _kkt_gap(p: GameProblem, u: np.ndarray, lam: np.ndarray) -> float:
+    """Largest violation of D u <= b, and of tightness on rows with lambda_r > 0."""
+    slack = p.D_stack @ u - p.b_total
+    return max(
+        float(np.max(slack, initial=0.0)),
+        float(np.max(-slack[lam > 0.0], initial=0.0)),
+    )
+
+
 def proj_shared_set(
     p: GameProblem,
     v: np.ndarray,
@@ -327,57 +396,52 @@ def proj_shared_set(
 ) -> np.ndarray:
     """Euclidean projection onto C = {u in U : D u <= b}.
 
-    Dykstra's alternating scheme over the box U and each constraint
-    halfspace. Stops when one full sweep moves the iterate and every
-    correction variable by less than tol combined; the iterate alone
-    can revisit the same point mid-convergence while the corrections
-    still grow, so both must settle. Raises if the sweep budget runs
-    out first.
+    Dual coordinate ascent on the m multipliers of D u <= b. For
+    lambda >= 0 the Lagrangian is minimised over the box U by
+    u(lambda) = clip(v - D^T lambda, lo, hi); a sweep maximises the dual
+    exactly in one multiplier at a time (_row_multiplier). The result is
+    returned on a KKT certificate at eps = tol * max(1, max|b|):
+    D u - b <= eps, and every row with a positive multiplier is tight to
+    within eps. u(lambda) is then the exact projection onto C with each
+    offset moved by at most eps. Rows on disjoint columns do not
+    interact, so one sweep is exact there. Raises if max_sweeps sweeps
+    end without the certificate.
     """
     v = np.asarray(v, dtype=np.float64).ravel()
     d = p.partition.total_dim
     if v.shape != (d,):
         raise DimensionMismatchError(f"point has shape {v.shape}, expected ({d},)", block="u")
-    m = p.partition.constraint_dim
-    rows = p.D_stack
     rhs = p.b_total
-    row_sq = np.einsum("ij,ij->i", rows, rows)
-    for r in range(m):
-        if row_sq[r] == 0.0 and rhs[r] < 0.0:
-            raise ConfigurationError(
-                f"constraint row {r} is identically zero with negative offset",
-                field="D/b",
+    unreachable = np.flatnonzero(p.row_floor > rhs)
+    if unreachable.size:
+        raise ConfigurationError(
+            f"constraint row {unreachable[0]} cannot be met inside the box", field="D/b"
+        )
+    if not np.all(np.isfinite(v)):
+        raise ToleranceError("cannot project a non-finite point", achieved=math.nan)
+    eps = tol * max(1.0, float(np.max(np.abs(rhs))))
+    lo, hi = p.lo_stack, p.hi_stack
+    lam = np.zeros(p.partition.constraint_dim)
+    w = v.copy()  # v - D^T lam
+    u = np.clip(w, lo, hi)
+    gap = _kkt_gap(p, u, lam)
+    sweeps = 0
+    while gap > eps:
+        if sweeps == max_sweeps:
+            raise ToleranceError(
+                "projection onto the shared feasible set did not converge", achieved=gap
             )
-    x = np.clip(v, p.lo_stack, p.hi_stack)
-    corr_box = v - x
-    corr = np.zeros((m, d))
-    for _ in range(max_sweeps):
-        x_prev = x.copy()
-        shifted = 0.0
-        for r in range(m):
-            if row_sq[r] == 0.0:
-                continue
-            t = x + corr[r]
-            gap = float(rows[r] @ t) - rhs[r]
-            if gap > 0.0:
-                y = t - (gap / row_sq[r]) * rows[r]
-            else:
-                y = t
-            new_corr = t - y
-            shifted += float(np.linalg.norm(new_corr - corr[r]))
-            corr[r] = new_corr
-            x = y
-        t = x + corr_box
-        y = np.clip(t, p.lo_stack, p.hi_stack)
-        shifted += float(np.linalg.norm((t - y) - corr_box))
-        corr_box = t - y
-        x = y
-        moved = float(np.linalg.norm(x - x_prev)) + shifted
-        if moved < tol:
-            return x
-    raise ToleranceError(
-        "projection onto the shared feasible set did not converge", achieved=moved
-    )
+        sweeps += 1
+        for r, (cols, a, lo_r, hi_r) in enumerate(p.row_support):
+            base = w[cols] + lam[r] * a
+            lam[r] = _row_multiplier(base, a, lo_r, hi_r, rhs[r])
+            w[cols] = base - lam[r] * a
+        # recomputed, so the certificate holds for u(lam) itself and not
+        # for the rounding drift of the row updates
+        w = v - p.D_stack.T @ lam
+        u = np.clip(w, lo, hi)
+        gap = _kkt_gap(p, u, lam)
+    return u
 
 
 def residual_res(p: GameProblem, u: np.ndarray, proj_tol: float = 1e-10) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockvec import AgentPartition, Preconditioner, PrimalDualState
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, GnesError, NumericError
 from .graph import CommGraph
 from .operators import ExtendedOperator, GameProblem, residual_res
 from .stochastic import (
@@ -233,14 +233,24 @@ def _validate_run(params: SolverParams, op: ExtendedOperator, psi: Preconditione
         logger.warning("%s (running anyway, admissibility enforcement is off)", msg)
 
 
+_GAP_CHUNK = 16
+
+
 def consensus_gap(partition: AgentPartition, lam: np.ndarray) -> float:
-    """Largest pairwise distance between agent multiplier copies."""
+    """Largest pairwise distance between agent multiplier copies.
+
+    Pairs are formed for _GAP_CHUNK agents at a time, so memory stays
+    O(N m) while small networks take one vectorised pass.
+    """
     n = partition.num_agents
     if n == 1:
         return 0.0
     lammat = lam.reshape(n, partition.constraint_dim)
-    diffs = lammat[:, None, :] - lammat[None, :, :]
-    return float(np.sqrt((diffs * diffs).sum(axis=2)).max())
+    worst = 0.0
+    for start in range(0, n, _GAP_CHUNK):
+        diffs = lammat[start : start + _GAP_CHUNK, None, :] - lammat[None, :, :]
+        worst = max(worst, float((diffs * diffs).sum(axis=2).max()))
+    return math.sqrt(worst)
 
 
 def feasibility_gap(problem: GameProblem, u: np.ndarray) -> float:
@@ -373,6 +383,15 @@ class _RunRecorder:
             self.trace.diag.states.append(x_next.copy())
         self.trace.iterations = k + 1
 
+    def abort(self, err: GnesError, x: np.ndarray, k: int):
+        """Attach the trace of the rows recorded so far to an error that ends the run."""
+        try:
+            self.finish(x, k, False)
+        except GnesError:
+            # the final metrics can fail the way the step did; keep the rows
+            self.trace._finalize()
+        err.trace = self.trace
+
     def finish(self, x: np.ndarray, k: int, stopped: bool):
         part = self.problem.partition
         d = part.total_dim
@@ -496,10 +515,8 @@ def run(
             rec.post_step(k, x_next, alpha, rho, size)
             x_prev = x
             x = x_next
-    except NumericError as err:
-        # abort, attaching the trace of the finite prefix
-        rec.finish(x, k, False)
-        err.trace = trace
+    except GnesError as err:
+        rec.abort(err, x, k)
         raise
     rec.finish(x, k, stopped)
     return PrimalDualState(part, x), trace

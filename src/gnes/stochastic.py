@@ -125,9 +125,10 @@ class SamplingOracle:
     """Per-agent stochastic gradient sampler.
 
     Subclasses implement sample_gradient_batch, returning one gradient
-    draw per row. sample_mean must equal the row average of that batch;
-    the default computes exactly that, and subclasses may override it
-    with an algebraically identical shortcut.
+    draw per row. sample_mean must have the same distribution as the
+    row average of that batch; the default computes exactly that
+    average, and subclasses may override it with a shortcut that draws
+    the average from its own law.
     """
 
     noise_bound: float | None = None
@@ -194,6 +195,12 @@ class AdditiveGaussianOracle(SamplingOracle):
         g = self.problem.gradient(agent, u)
         return g[None, :] + rng.normal(0.0, self.sd, size=(size, g.shape[0]))
 
+    def sample_mean(self, agent, u, size, rng):
+        # the mean of size draws from N(g, sd^2 I) is N(g, sd^2 / size I),
+        # so one draw per coordinate replaces size of them
+        g = self.problem.gradient(agent, u)
+        return g + rng.normal(0.0, self.sd / math.sqrt(size), size=g.shape[0])
+
 
 def sample_F_hat(
     oracle: SamplingOracle,
@@ -204,7 +211,7 @@ def sample_F_hat(
     phase: int,
     partition,
 ) -> np.ndarray:
-    """Stacked mini-batch estimate of F(u): per-agent average of size draws."""
+    """Stacked mini-batch estimate of F(u): each agent's sample_mean at batch size `size`."""
     if size < 1:
         raise ConfigurationError("batch size must be >= 1", field="size")
     u = np.asarray(u, dtype=np.float64)

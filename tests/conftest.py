@@ -109,3 +109,42 @@ def random_affine_game(rng, dims=(2, 1, 2), m=2):
 def random_state(part, rng, spread=2.0):
     """Random stacked primal-dual vector, multipliers not sign-restricted."""
     return rng.normal(size=part.state_dim) * spread
+
+
+def dykstra_projection(problem, v, tol=1e-13, max_sweeps=200_000):
+    """Reference Euclidean projection onto {u in box : D u <= b} by Dykstra's method.
+
+    Alternates over each constraint halfspace and the box, carrying one
+    correction vector per set. Stops when a full sweep moves the iterate
+    and every correction by less than tol combined; the iterate alone
+    can revisit a point while the corrections still grow, so both must
+    settle.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    rows = problem.D_stack
+    rhs = problem.b_total
+    lo, hi = problem.lo_stack, problem.hi_stack
+    row_sq = np.einsum("ij,ij->i", rows, rows)
+    x = np.clip(v, lo, hi)
+    corr_box = v - x
+    corr = np.zeros(rows.shape)
+    for _ in range(max_sweeps):
+        x_prev = x.copy()
+        shifted = 0.0
+        for r in range(rows.shape[0]):
+            if row_sq[r] == 0.0:
+                continue
+            t = x + corr[r]
+            gap = float(rows[r] @ t) - rhs[r]
+            y = t - (gap / row_sq[r]) * rows[r] if gap > 0.0 else t
+            shifted += float(np.linalg.norm((t - y) - corr[r]))
+            corr[r] = t - y
+            x = y
+        t = x + corr_box
+        y = np.clip(t, lo, hi)
+        shifted += float(np.linalg.norm((t - y) - corr_box))
+        corr_box = t - y
+        x = y
+        if float(np.linalg.norm(x - x_prev)) + shifted < tol:
+            return x
+    raise AssertionError("reference projection did not converge")

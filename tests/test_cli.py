@@ -1,11 +1,16 @@
 """Configuration schema, command entry points, exit codes, and output files."""
 
+import copy
 import csv
 import json
+import os
+import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gnes.cli import main, parse_config, serialize_config
+from gnes.cli import RunConfig, main, parse_config, serialize_config
 from gnes.errors import ConfigurationError
 
 
@@ -71,6 +76,102 @@ def test_config_rejections():
         with pytest.raises(ConfigurationError) as info:
             parse_config(doc)
         assert info.value.field == field, doc
+
+
+def test_config_type_errors_name_the_field():
+    cases = [
+        (base_doc(seed="abc"), "seed"),
+        (base_doc(seed=1.5), "seed"),
+        (base_doc(reps=True), "reps"),
+        (base_doc(solver={"max_iters": "10"}), "max_iters"),
+        (base_doc(solver={"alpha_bar": "0.1"}), "alpha_bar"),
+        (base_doc(solver={"tol_res": [1e-4]}), "tol_res"),
+        (base_doc(solver={"diagnostics": "yes"}), "diagnostics"),
+        (base_doc(solver={"steps": [0.1, "a", 0.1]}), "steps"),
+        (base_doc(solver={"steps": "fast"}), "steps"),
+        (base_doc(solver={"batch": {"scale": "1"}}), "batch"),
+        (base_doc(noise={"kind": "gaussian", "sd": "0.1"}), "noise"),
+        (base_doc(variants="risfbf"), "variants"),
+        (base_doc(alpha_sweep=[0.1, None]), "alpha_sweep"),
+        (base_doc(alpha_sweep=[10**400]), "alpha_sweep"),
+        (base_doc(out=3), "out"),
+    ]
+    for doc, field in cases:
+        with pytest.raises(ConfigurationError) as info:
+            parse_config(doc)
+        assert info.value.field == field, doc
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_FUZZ_PATHS = [
+    ("problem",), ("problem", "builtin"), ("solver",), ("noise",), ("noise", "kind"),
+    ("noise", "sd"), ("seed",), ("reps",), ("out",), ("variants",), ("alpha_sweep",),
+    ("unknown",),
+] + [("solver", name) for name in (
+    "variant", "alpha_bar", "nu", "steps", "max_iters", "tol", "tol_res", "batch",
+    "diagnostics", "trace_every", "rho_fixed", "rho_scale", "enforce_admissibility",
+)] + [("solver", "batch", "scale"), ("solver", "batch", "growth")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mutations=st.lists(
+        st.tuples(st.sampled_from(_FUZZ_PATHS), _JSON_VALUES | st.just(KeyError)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_parse_config_raises_only_configuration_errors(mutations):
+    doc = base_doc(
+        solver={"variant": "risfbf", "steps": [0.1, 0.1, 0.1], "batch": {"scale": 1.0}},
+        noise={"kind": "gaussian", "sd": 0.1},
+        alpha_sweep=[0.0, 0.1],
+    )
+    for path, value in mutations:
+        parent = doc
+        for key in path[:-1]:
+            if not isinstance(parent.get(key), dict):
+                parent[key] = {}
+            parent = parent[key]
+        if value is KeyError:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    try:
+        config = parse_config(doc)
+    except ConfigurationError:
+        return
+    assert isinstance(config, RunConfig)
+
+
+def test_config_type_error_exits_2_with_json_error(tmp_path, capsys):
+    for doc, field in (
+        (base_doc(seed="abc"), "seed"),
+        (base_doc(solver={"max_iters": "10"}), "max_iters"),
+        (base_doc(solver={"alpha_bar": "0.1"}), "alpha_bar"),
+    ):
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigurationError"
+        assert err["field"] == field
+
+
+def test_output_files_follow_the_umask(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_doc(out=str(out)))
+    previous = os.umask(0o022)
+    try:
+        assert main(["run", "--config", path]) == 0
+    finally:
+        os.umask(previous)
+    for name in ("trace_rep0.csv", "aggregate.csv", "summary.json"):
+        assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o644, name
+    # no partial files are left behind
+    assert sorted(os.listdir(out)) == ["aggregate.csv", "summary.json", "trace_rep0.csv"]
 
 
 def test_run_writes_traces_and_summary(tmp_path, capsys):
@@ -200,6 +301,23 @@ def test_verify_passes_on_sound_configuration(tmp_path, capsys):
     assert report["command"] == "verify"
     assert all(c["violations"] == 0 for c in report["checks"])
     assert all(c["first_violation_k"] is None for c in report["checks"])
+
+
+def test_verify_reports_real_margins(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = base_doc(
+        problem={"builtin": "affine-two-firms"},
+        solver={"variant": "risfbf", "alpha_bar": 0.1, "max_iters": 60, "tol": 0.0},
+        noise={"kind": "gaussian", "sd": 0.05},
+        out=str(out),
+    )
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "verify_report.json").read_text())
+    margins = {c["name"]: c["worst_slack"] for c in report["checks"]}
+    # a passing check reports how far its tightest iteration stays from the bound
+    for name in ("fundamental_recursion", "step_residual_bound", "energy_nonnegative", "coupling"):
+        assert margins[name] > 0.0, name
 
 
 def test_verify_reports_zero_noise_progress(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Extended operator assembly, resolvent, projections, and KKT checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gnes.blockvec import AgentPartition, BlockVector, Preconditioner, PrimalDualState
-from gnes.errors import ConfigurationError, DimensionMismatchError
+from gnes.errors import ConfigurationError, DimensionMismatchError, ToleranceError
 from gnes.operators import (
     ExtendedOperator,
     GameProblem,
@@ -17,7 +19,7 @@ from gnes.operators import (
     resolvent_T,
 )
 
-from conftest import load_builtin, random_affine_game, random_state
+from conftest import dykstra_projection, load_builtin, random_affine_game, random_state
 
 
 def two_agent_game():
@@ -202,6 +204,113 @@ def test_projection_rejects_infeasible_zero_row():
     )
     with pytest.raises(ConfigurationError):
         proj_shared_set(problem, np.array([0.5]))
+
+
+def test_projection_rejects_row_unreachable_in_box():
+    part = AgentPartition((2,), 1)
+    problem = GameProblem(
+        partition=part,
+        grad_f=(lambda u: u.copy(),),
+        D=(np.array([[1.0, -1.0]]),),
+        b=(np.array([-1.5]),),
+        box_lo=(np.zeros(2),),
+        box_hi=(np.ones(2),),
+        lipschitz_ell=1.0,
+    )
+    # u0 - u1 >= -1 on the unit box, so u0 - u1 <= -1.5 is empty
+    with pytest.raises(ConfigurationError):
+        proj_shared_set(problem, np.array([0.5, 0.5]))
+
+
+def _assert_feasible(problem, u, tol=1e-9):
+    assert np.all(u >= problem.lo_stack) and np.all(u <= problem.hi_stack)
+    assert np.all(problem.D_stack @ u - problem.b_total <= tol)
+
+
+def tight_random_game(rng, dims, m):
+    """random_affine_game with small offsets b_i >= 0, so that several rows bind.
+
+    u = 0 stays feasible, so the shared set is never empty.
+    """
+    problem, _ = random_affine_game(rng, dims=dims, m=m)
+    return dataclasses.replace(
+        problem, b=tuple(rng.uniform(0.0, 0.3, m) for _ in dims)
+    )
+
+
+def test_projection_matches_dykstra_on_random_games():
+    rng = np.random.default_rng(2103)
+    most_active = 0
+    for trial in range(60):
+        m = int(rng.integers(1, 5))
+        dims = tuple(int(k) for k in rng.integers(1, 4, size=int(rng.integers(2, 5))))
+        problem = tight_random_game(rng, dims, m)
+        for _ in range(8):
+            v = rng.normal(size=problem.partition.total_dim) * 3.0
+            u = proj_shared_set(problem, v)
+            ref = dykstra_projection(problem, v)
+            assert np.max(np.abs(u - ref)) <= 1e-9, (trial, m)
+            _assert_feasible(problem, u)
+            active = np.abs(problem.D_stack @ ref - problem.b_total) <= 1e-9
+            most_active = max(most_active, int(active.sum()))
+    # the sample exercises coupled rows, not only single active halfspaces
+    assert most_active >= 3
+
+
+def test_projection_matches_dykstra_on_solver_states(monotone_small):
+    from gnes.cournot import CournotConfig, generate
+    from gnes.solver import SolverParams, run
+    from gnes.stochastic import AdditiveGaussianOracle, BatchSchedule
+
+    problem, graph = monotone_small
+    part = problem.partition
+    params = SolverParams(
+        variant="risfbf", max_iters=80, tol=0.0, diagnostics=True,
+        batch=BatchSchedule(1.0, 1.2),
+    )
+    _, trace = run(problem, graph, AdditiveGaussianOracle(problem, sd=0.1), params, seed=4)
+    for x in trace.diag.states[::4]:
+        u = x[: part.total_dim]
+        v = u - np.concatenate([problem.gradient(i, u) for i in range(part.num_agents)])
+        out = proj_shared_set(problem, v)
+        assert np.max(np.abs(out - dykstra_projection(problem, v))) <= 1e-9
+        _assert_feasible(problem, out)
+    # on the market each row covers the columns of its own market, so a
+    # single sweep of exact row solves already carries the certificate
+    market, demand, market_graph = generate(CournotConfig(seed=0))
+    d = market.partition.total_dim
+    params = SolverParams(
+        variant="risfbf", max_iters=200, tol=0.0, diagnostics=True,
+        batch=BatchSchedule(0.0005, 1.2),
+    )
+    _, trace = run(market, market_graph, demand, params, seed=1)
+    for x in trace.diag.states[::25]:
+        u = x[:d]
+        v = u - np.concatenate([market.gradient(i, u) for i in range(market.num_agents)])
+        out = proj_shared_set(market, v, max_sweeps=1)
+        ref = dykstra_projection(market, v)
+        assert np.max(np.abs(out - ref)) <= 1e-9
+        _assert_feasible(market, out)
+        # every budget binds along this run
+        assert np.all(np.abs(market.D_stack @ ref - market.b_total) <= 1e-9)
+
+
+def test_projection_raises_when_sweeps_run_out():
+    rng = np.random.default_rng(8)
+    problem = tight_random_game(rng, (2, 2, 2), 4)
+    budget_hit = 0
+    for _ in range(40):
+        v = rng.normal(size=problem.partition.total_dim) * 3.0
+        try:
+            proj_shared_set(problem, v, max_sweeps=1)
+        except ToleranceError as err:
+            budget_hit += 1
+            assert err.achieved > 0.0
+            # a larger budget reaches the certificate from the same point
+            proj_shared_set(problem, v)
+    assert budget_hit > 0
+    with pytest.raises(ToleranceError):
+        proj_shared_set(problem, np.full(problem.partition.total_dim, np.nan))
 
 
 def test_residual_res_at_solution(tiny):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from gnes.blockvec import AgentPartition, PrimalDualState
-from gnes.errors import ConfigurationError, NumericError
+from gnes import solver
+from gnes.agentnet import run_distributed
+from gnes.errors import ConfigurationError, NumericError, ToleranceError
 from gnes.operators import ExtendedOperator
 from gnes.solver import (
     SolverParams,
@@ -280,6 +282,33 @@ def test_numeric_error_carries_partial_trace(monotone_small):
     assert info.value.trace.iterations == 0
 
 
+@pytest.mark.parametrize("executor", ["single", "network"])
+def test_recording_error_carries_partial_trace(monotone_small, monkeypatch, executor):
+    problem, graph = monotone_small
+    calls = [0]
+
+    def failing_residual(p, u, *args, **kwargs):
+        # the row of iteration k records the (k + 1)-th residual
+        calls[0] += 1
+        if calls[0] > 5:
+            raise ToleranceError("projection did not converge", achieved=1.0)
+        return 1.0
+
+    monkeypatch.setattr(solver, "residual_res", failing_residual)
+    params = SolverParams(variant="risfbf", max_iters=20, tol=0.0)
+    oracle = AdditiveGaussianOracle(problem, sd=0.1)
+    with pytest.raises(ToleranceError) as info:
+        if executor == "single":
+            run(problem, graph, oracle, params, seed=2)
+        else:
+            run_distributed(problem, graph, oracle, params, seed=2)
+    trace = info.value.trace
+    assert trace.ks == [0, 1, 2, 3, 4]
+    assert trace.res == [1.0] * 5
+    assert trace.iterations == 5
+    assert len(trace.state_hash) == 64
+
+
 def test_diagnostics_pass_without_and_with_noise(monotone_small):
     problem, graph = monotone_small
     reference, _ = solve_ground_truth(problem, graph)
@@ -324,3 +353,14 @@ def test_gap_helpers():
     problem, _ = scalar_game(d_row=1.0, b_val=0.5, lo=0.0, hi=2.0)
     assert feasibility_gap(problem, np.array([2.0])) == pytest.approx(1.5, abs=1e-15)
     assert feasibility_gap(problem, np.array([0.2])) == 0.0
+
+
+def test_consensus_gap_matches_dense_pairs():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 16, 17, 40):
+        for m in (1, 3, 7):
+            lam = rng.normal(size=n * m)
+            lammat = lam.reshape(n, m)
+            diffs = lammat[:, None, :] - lammat[None, :, :]
+            dense = float(np.sqrt((diffs * diffs).sum(axis=2)).max())
+            assert consensus_gap(AgentPartition((1,) * n, m), lam) == dense, (n, m)

@@ -107,10 +107,13 @@ def test_zero_noise_oracle_is_exact():
 def test_default_sample_mean_is_row_average():
     problem, _ = load_builtin("affine-two-firms")
 
-    class CountingOracle(AdditiveGaussianOracle):
-        pass
+    class BatchOnlyOracle(SamplingOracle):
+        # defines batches only, so sample_mean is the base-class default
+        def sample_gradient_batch(self, agent, u, size, rng):
+            g = problem.gradient(agent, u)
+            return g[None, :] + rng.normal(0.0, 0.5, size=(size, g.shape[0]))
 
-    oracle = CountingOracle(problem, sd=0.5)
+    oracle = BatchOnlyOracle()
     rng1 = np.random.default_rng(7)
     rng2 = np.random.default_rng(7)
     batch = oracle.sample_gradient_batch(0, np.array([0.2, 0.3]), 9, rng1)
@@ -188,6 +191,25 @@ def test_gaussian_estimator_unbiased():
     err = draws.mean(axis=0) - g
     se = draws.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(err) <= 4.0 * se)
+
+
+def test_gaussian_sample_mean_draws_the_batch_mean_law():
+    problem, _ = load_builtin("affine-monotone-small")
+    sd = 0.3
+    oracle = AdditiveGaussianOracle(problem, sd=sd)
+    u = np.array([0.4, 0.2, 0.5, 0.1, 0.3, 0.2])
+    g = problem.gradient(1, u)
+    # one N(0, sd^2 / S) draw per coordinate from the given stream
+    expected = g + np.random.default_rng(3).normal(0.0, sd / 5.0, size=g.shape[0])
+    assert np.array_equal(oracle.sample_mean(1, u, 25, np.random.default_rng(3)), expected)
+    reps = 20_000
+    for size in (1, 9, 400):
+        rng = np.random.default_rng(size)
+        means = np.stack([oracle.sample_mean(1, u, size, rng) for _ in range(reps)])
+        var = sd * sd / size
+        assert np.all(np.abs(means.mean(axis=0) - g) <= 4.0 * math.sqrt(var / reps)), size
+        # the sample variance has relative standard error sqrt(2 / reps), 1 %
+        assert np.all(np.abs(means.var(axis=0, ddof=1) / var - 1.0) <= 0.05), size
 
 
 def test_batch_mean_variance_scaling():
