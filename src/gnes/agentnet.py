@@ -5,9 +5,9 @@ only their own blocks of the state, their own cost sampler and
 constraint data, and their incident edges; anything else they use has
 to arrive as a message through the exchange. The arithmetic inside each
 agent reproduces, expression by expression, what the single-process
-runner does on the stacked arrays, and all Laplacian products go
-through the same neighbor-ordered kernel, so the two executors produce
-bit-identical trajectories and traces.
+runner does on the stacked arrays, and every sum is accumulated in the
+same term order (OrderedRows, laplacian_block), so the two executors
+produce bit-identical trajectories and traces.
 
 Messages come in two kinds. A "strategy" message carries one agent's
 decision block to the agents whose costs depend on it (the interaction
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockvec import AgentPartition, Preconditioner, PrimalDualState
+from .blockvec import AgentPartition, OrderedRows, Preconditioner, PrimalDualState
 from .errors import ConfigurationError, GnesError, NumericError
 from .graph import CommGraph, laplacian_block
 from .operators import ExtendedOperator, GameProblem
@@ -145,8 +145,8 @@ class AgentNode:
         self.partition = partition
         self.m = partition.constraint_dim
         self.dim = partition.dims[i]
-        self.D = problem.D[i]
-        self.dT = np.ascontiguousarray(problem.D[i].T)
+        self.pull = OrderedRows.from_dense(problem.D[i].T)
+        self.push = OrderedRows.from_dense(problem.D[i])
         self.b = problem.b[i]
         self.prox_fn = problem.prox_g[i] if problem.has_custom_prox else None
         self.lo = problem.box_lo[i]
@@ -215,14 +215,14 @@ class AgentNode:
         else:
             lam_rows = np.zeros((0, self.m))
             diff_rows = np.zeros((0, self.m))
-        v_u = fhat + np.dot(self.dT, point_lam)
+        v_u = fhat + self.pull(point_lam)
         v_mu = laplacian_block(self.degree, self.neighbor_weights, point_lam, lam_rows)
         v_lam = (
             self.b
             + laplacian_block(
                 self.degree, self.neighbor_weights, point_lam - point_mu, diff_rows
             )
-        ) - np.dot(self.D, point_u)
+        ) - self.push(point_u)
         return v_u, v_mu, v_lam
 
     def _prox(self, v: np.ndarray) -> np.ndarray:

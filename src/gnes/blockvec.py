@@ -18,6 +18,7 @@ __all__ = [
     "BlockVector",
     "PrimalDualState",
     "Preconditioner",
+    "OrderedRows",
     "psi_inner",
     "psi_norm",
     "relaxed_combine",
@@ -91,6 +92,67 @@ class AgentPartition:
                 f"agent index {i} out of range for {self.num_agents} agents",
                 block=f"agent {i}",
             )
+
+
+class OrderedRows:
+    """Sparse product A @ x in which every entry has one fixed summation order.
+
+    Row r of the result is accumulated over the nonzero entries of row r
+    in ascending column order, left to right from the first product; a
+    row without entries gives 0.0. The work is elementwise multiplies
+    and adds, so evaluating all rows at once or only one agent's rows
+    gives the same floats. This is how the stacked solver and the agent
+    nodes stay bit-identical. x is either a vector or a matrix whose
+    rows are combined as wholes.
+    """
+
+    __slots__ = ("shape", "_steps")
+
+    def __init__(self, shape: tuple[int, int], rows, cols, vals):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        # position of each entry within its row
+        pos = np.arange(rows.size) - np.searchsorted(rows, rows)
+        self.shape = (int(shape[0]), int(shape[1]))
+        steps = []
+        for t in range(int(pos.max()) + 1 if pos.size else 0):
+            sel = pos == t
+            r = rows[sel]
+            # None marks a step that touches every row, in row order
+            if r.size == self.shape[0]:
+                r = None
+            steps.append((r, cols[sel], vals[sel], vals[sel, None]))
+        self._steps = tuple(steps)
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "OrderedRows":
+        a = np.asarray(a, dtype=np.float64)
+        rows, cols = np.nonzero(a)
+        return cls(a.shape, rows, cols, a[rows, cols])
+
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty((self.shape[0],) + x.shape[1:])
+        steps = self._steps
+        if not steps or steps[0][0] is not None:
+            out.fill(0.0)
+        for t, (rows, cols, vals, vcol) in enumerate(steps):
+            v = vals if x.ndim == 1 else vcol
+            if rows is None:
+                if t == 0:
+                    np.multiply(v, x[cols], out=out)
+                else:
+                    out += v * x[cols]
+            elif t == 0:
+                out[rows] = v * x[cols]
+            else:
+                out[rows] += v * x[cols]
+        return out
 
 
 class BlockVector:

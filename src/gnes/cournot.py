@@ -183,6 +183,31 @@ class _MarketLayout:
         # per-firm scratch, fully overwritten on every call
         self._pow = tuple(np.empty(m.shape[0]) for m in self.markets)
         self._tmp = tuple(np.empty(m.shape[0]) for m in self.markets)
+        # the same segment sums for all markets at once, and each
+        # coordinate's market, firm offset, firm width and position
+        self.market_gather = np.concatenate(self.coords)
+        self.market_starts = np.cumsum([0] + [c.shape[0] for c in self.coords[:-1]])
+        self.market_of = np.concatenate(self.markets)
+        self.offsets = tuple(sl.start for sl in self.own_slice)
+        self.widths = tuple(m.shape[0] for m in self.markets)
+        self._coord_firm_start = np.repeat(self.offsets, self.widths)
+        self._coord_width = np.repeat(self.widths, self.widths)
+        self._coord_pos = np.concatenate([np.arange(w) for w in self.widths])
+        self._rows_size = 0
+        self._rows_index = None
+
+    def draw_rows(self, size: int) -> np.ndarray:
+        """Index turning firm-major (size, width) draw blocks into one row per coordinate.
+
+        Firm i's block of size * width_i draws starts at offset_i * size
+        of a flat buffer; row c of buffer[index] lists the size draws of
+        coordinate c in draw order. The index of the last size is kept.
+        """
+        if size != self._rows_size:
+            first = self._coord_firm_start * size + self._coord_pos
+            self._rows_index = first[:, None] + self._coord_width[:, None] * np.arange(size)
+            self._rows_size = size
+        return self._rows_index
 
     def firm_terms(self, i: int, u: np.ndarray, exponent: float):
         """Own quantities and the slope factor S~^s + s u S~^(s-1) per served market.
@@ -219,13 +244,17 @@ class CournotDemandOracle(SamplingOracle):
     a single draw is unbiased for the deterministic gradient. The
     gradient is affine in the slope, hence the mini-batch average
     equals one gradient evaluation at the averaged slope; sample_mean
-    exploits that instead of materializing per-draw gradients.
+    exploits that instead of materializing per-draw gradients. A firm
+    draws its (size, width) perturbations row by row from its stream,
+    and each coordinate's size draws are summed as one contiguous row,
+    so the per-firm and the stacked path add them in the same order.
     """
 
     def __init__(self, layout: _MarketLayout, costs: tuple, config: CournotConfig):
         self._layout = layout
         self._costs = costs
         self._base = tuple(c - config.demand_q for c in costs)
+        self._base_stack = np.concatenate(self._base)
         self._q = config.demand_q
         self._pbar = config.demand_slope
         self._sd = config.demand_sd
@@ -248,14 +277,20 @@ class CournotDemandOracle(SamplingOracle):
         slopes = self._slopes(size, own.shape[0], rng)
         return self._base[agent][None, :] - self._sign * slopes * factor[None, :]
 
+    def _scale_and_clip(self, eps: np.ndarray):
+        """Standard normal draws to slope perturbations, in place."""
+        eps *= self._sd
+        np.maximum(eps, -self._cut, out=eps)
+        np.minimum(eps, self._cut, out=eps)
+
     def sample_mean(self, agent, u, size, rng):
         own, factor = self._layout.firm_terms(agent, u, self._exp)
         factor *= self._sign
-        eps = rng.normal(0.0, self._sd, size=(size, own.shape[0]))
-        np.maximum(eps, -self._cut, out=eps)
-        np.minimum(eps, self._cut, out=eps)
+        width = own.shape[0]
+        eps = rng.standard_normal(size * width)
+        self._scale_and_clip(eps)
         # mean slope without materializing the per-draw shift by pbar
-        mean_slope = np.add.reduce(eps, axis=0)
+        mean_slope = np.add.reduce(eps.reshape(size, width).T.copy(), axis=1)
         mean_slope /= size
         mean_slope += self._pbar
         mean_slope *= factor
@@ -263,36 +298,30 @@ class CournotDemandOracle(SamplingOracle):
         return mean_slope
 
     def sample_mean_stack(self, u, size, streams, iteration, phase, out, partition):
-        # sample_mean inlined across firms with lookups hoisted; every
-        # operation matches it exactly so the stacked estimate is bit
-        # identical to the firm-by-firm path the agent nodes take
+        # sample_mean for all firms at once: only the draws go firm by
+        # firm; every other operation is elementwise or the same
+        # per-coordinate row sum, so the result is bit identical to the
+        # firm-by-firm path the agent nodes take
         layout = self._layout
         exp = self._exp
-        em1 = exp - 1.0
-        sd = self._sd
-        cut = self._cut
-        sign = self._sign
-        pbar = self._pbar
-        base = self._base
-        generator = streams.generator
-        slices = partition.primal_slices
-        for i in range(len(slices)):
-            own = u[layout.own_slice[i]]
-            totals = np.add.reduceat(u[layout._gather[i]], layout._bounds[i])
-            np.maximum(totals, 0.0, out=totals)
-            factor = np.power(totals, em1, out=layout._pow[i])
-            tmp = np.multiply(exp, own, out=layout._tmp[i])
-            tmp += totals
-            factor *= tmp
-            factor *= sign
-            eps = generator(i, iteration, phase).normal(0.0, sd, size=(size, own.shape[0]))
-            np.maximum(eps, -cut, out=eps)
-            np.minimum(eps, cut, out=eps)
-            mean_slope = np.add.reduce(eps, axis=0)
-            mean_slope /= size
-            mean_slope += pbar
-            mean_slope *= factor
-            np.subtract(base[i], mean_slope, out=out[slices[i]])
+        totals = np.add.reduceat(u[layout.market_gather], layout.market_starts)
+        np.maximum(totals, 0.0, out=totals)
+        totals = totals[layout.market_of]
+        factor = np.power(totals, exp - 1.0)
+        tmp = np.multiply(exp, u)
+        tmp += totals
+        factor *= tmp
+        factor *= self._sign
+        eps = np.empty(size * u.shape[0])
+        for i, (start, width) in enumerate(zip(layout.offsets, layout.widths)):
+            rng = streams.generator(i, iteration, phase)
+            rng.standard_normal(out=eps[start * size : (start + width) * size])
+        self._scale_and_clip(eps)
+        mean_slope = np.add.reduce(eps[layout.draw_rows(size)], axis=1)
+        mean_slope /= size
+        mean_slope += self._pbar
+        mean_slope *= factor
+        np.subtract(self._base_stack, mean_slope, out=out)
 
 
 def _make_gradients(layout: _MarketLayout, costs: tuple, config: CournotConfig) -> tuple:

@@ -1,9 +1,11 @@
 """Weighted communication graphs and matrix-free Laplacian products.
 
 The Laplacian acts on stacked dual vectors blockwise, one m-block per
-agent, so the N m x N m Kronecker form is never materialized. The
-blockwise kernel is shared with the distributed executor so that both
-execution paths accumulate neighbor terms with identical float ops.
+agent, so the N m x N m Kronecker form is never materialized. Every
+block is degree_i v_i minus the weighted neighbor sum accumulated in
+ascending neighbor order, whether all blocks are formed at once
+(CommGraph.laplacian_rows, the single-process solver) or one at a time
+(laplacian_block, the agent nodes), so both executors get the same floats.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-from .blockvec import BlockVector
+from .blockvec import BlockVector, OrderedRows
 from .errors import ConfigurationError, ToleranceError
 
 __all__ = [
@@ -83,6 +85,8 @@ class CommGraph:
         "lap_norm",
         "neighbors",
         "neighbor_weights",
+        "_adjacency",
+        "_degree_col",
     )
 
     def __init__(self, weights: np.ndarray):
@@ -112,10 +116,21 @@ class CommGraph:
         self.lap_norm = largest_eigenvalue_psd(self.laplacian)
         self.neighbors = neighbors
         self.neighbor_weights = tuple(w[i, neighbors[i]].copy() for i in range(n))
+        self._adjacency = OrderedRows.from_dense(w)
+        self._degree_col = self.degrees[:, None].copy()
 
     @property
     def num_agents(self) -> int:
         return self.weights.shape[0]
+
+    def laplacian_rows(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(L (x) I) applied to the rows of an (N, k) array, all blocks at once.
+
+        Row i equals laplacian_block for agent i on the same data.
+        """
+        out = np.multiply(self._degree_col, values, out=out)
+        out -= self._adjacency(values)
+        return out
 
 
 def _connected(neighbors: tuple[np.ndarray, ...]) -> bool:
@@ -203,17 +218,18 @@ def laplacian_block(
     """One agent's block of the stacked Laplacian product.
 
     Computes sum_j w_ij (v_i - v_j) as degree_i * v_i minus the weighted
-    sum of the neighbor rows. weights_i and neighbor_values are
-    restricted to the neighbors of agent i in ascending index order, so
-    the kernel only ever touches locally available data. Both executors
-    route every Laplacian product through it, with the same row order,
-    so the floating point results are identical between them; the out
-    form performs the same multiply then subtract elementwise.
+    sum of the neighbor rows, accumulated left to right. weights_i and
+    neighbor_values are restricted to the neighbors of agent i in
+    ascending index order, so the kernel only ever touches locally
+    available data, and it performs the same float operations as
+    CommGraph.laplacian_rows does for row i.
     """
-    if out is None:
-        return degree_i * v_i - np.dot(weights_i, neighbor_values)
-    np.multiply(degree_i, v_i, out=out)
-    out -= np.dot(weights_i, neighbor_values)
+    out = np.multiply(degree_i, v_i, out=out)
+    if len(weights_i):
+        acc = weights_i[0] * neighbor_values[0]
+        for w, row in zip(weights_i[1:], neighbor_values[1:]):
+            acc += w * row
+        out -= acc
     return out
 
 
@@ -225,11 +241,5 @@ def apply_laplacian(g: CommGraph, v: BlockVector) -> BlockVector:
     if v.partition.num_agents != n:
         raise ConfigurationError("graph size does not match the partition", field="weights")
     m = v.partition.constraint_dim
-    vmat = v.data.reshape(n, m)
-    out = np.empty_like(v.data)
-    for i in range(n):
-        nbrs = g.neighbors[i]
-        out[i * m : (i + 1) * m] = laplacian_block(
-            g.degrees[i], g.neighbor_weights[i], vmat[i], vmat[nbrs]
-        )
-    return BlockVector(v.partition, out, "dual")
+    out = g.laplacian_rows(v.data.reshape(n, m))
+    return BlockVector(v.partition, out.ravel(), "dual")

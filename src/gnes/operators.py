@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockvec import AgentPartition, BlockVector, Preconditioner, PrimalDualState
+from .blockvec import AgentPartition, BlockVector, OrderedRows, Preconditioner, PrimalDualState
 from .errors import ConfigurationError, DimensionMismatchError, NumericError, ToleranceError
-from .graph import CommGraph, laplacian_block, largest_eigenvalue_psd
+from .graph import CommGraph, largest_eigenvalue_psd
 
 __all__ = [
     "GameProblem",
@@ -183,7 +183,10 @@ class ExtendedOperator:
     is what step size selection uses.
     """
 
-    __slots__ = ("problem", "graph", "lipschitz_ell_V", "_blocks", "_slots")
+    __slots__ = (
+        "problem", "graph", "lipschitz_ell_V", "_dual_pull", "_primal_push",
+        "_b_rows", "_pair", "_lap", "_push", "_slots",
+    )
 
     def __init__(self, problem: GameProblem, graph: CommGraph):
         if graph.num_agents != problem.partition.num_agents:
@@ -194,41 +197,35 @@ class ExtendedOperator:
             problem.lipschitz_ell + 2.0 * graph.lap_norm + problem.d_norm
         )
         part = problem.partition
-        d = part.total_dim
-        nm = part.dual_dim
+        n = part.num_agents
         m = part.constraint_dim
-        # per-agent constants unpacked once; D_i^T is stored contiguous,
-        # matching the layout agent nodes use, so both executors run the
-        # same products
-        self._blocks = tuple(
-            (
-                part.primal_slice(i),
-                np.ascontiguousarray(problem.D[i].T),
-                problem.D[i],
-                problem.b[i],
-                float(graph.degrees[i]),
-                graph.neighbor_weights[i],
-                graph.neighbors[i],
-                slice(d + i * m, d + (i + 1) * m),
-                slice(d + nm + i * m, d + nm + (i + 1) * m),
-            )
-            for i in range(part.num_agents)
-        )
-        # one stacked output buffer per sampling phase with prebound
-        # per-agent views, so the solver's two V evaluations per
-        # iteration skip slicing and allocation; see v_flat
-        slots = []
-        for _ in range(2):
-            buf = np.empty(part.state_dim)
-            views = tuple((buf[t[0]], buf[t[7]], buf[t[8]]) for t in self._blocks)
-            slots.append((buf, views))
-        self._slots = tuple(slots)
+        d = part.total_dim
+        # the block-diagonal maps lambda -> (D_i^T lambda_i)_i and
+        # u -> (D_i u_i)_i, entry by entry as the agent nodes sum them
+        rows, cols, vals = [], [], []
+        for i, Di in enumerate(problem.D):
+            r, c = np.nonzero(Di)
+            rows.append(i * m + r)
+            cols.append(part.primal_slices[i].start + c)
+            vals.append(Di[r, c])
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        self._dual_pull = OrderedRows((d, n * m), cols, rows, vals)
+        self._primal_push = OrderedRows((n * m, d), rows, cols, vals)
+        self._b_rows = np.stack(problem.b)
+        # scratch for one evaluation: [lambda | lambda - mu] rows, their
+        # Laplacian, and D u
+        self._pair = np.empty((n, 2 * m))
+        self._lap = np.empty((n, 2 * m))
+        self._push = np.empty(n * m)
+        # one output buffer per sampling phase, so the solver's two V
+        # evaluations per iteration skip allocation; see v_flat
+        self._slots = (np.empty(part.state_dim), np.empty(part.state_dim))
 
     # flat-array engine ----------------------------------------------------
     #
-    # The solver calls these with raw state arrays. Per-agent products go
-    # through the same kernels as the distributed executor (laplacian_block,
-    # one np.dot per agent) so both executors produce identical floats.
+    # The solver calls these with raw state arrays. Every product sums its
+    # terms in the order the agent nodes use (OrderedRows, laplacian_rows),
+    # so both executors produce identical floats.
 
     def f_det(self, u: np.ndarray) -> np.ndarray:
         """Stacked deterministic gradient F(u)."""
@@ -255,29 +252,19 @@ class ExtendedOperator:
         nm = part.dual_dim
         m = part.constraint_dim
         u = x[:d]
-        mu = x[d : d + nm]
-        lam = x[d + nm :]
         if fvals is None:
             fvals = self.f_det(u)
-        if slot is None:
-            out = np.empty(part.state_dim)
-            views = None
-        else:
-            out, views = self._slots[slot]
-        lammat = lam.reshape(n, m)
-        diffmat = (lam - mu).reshape(n, m)
-        for i, (sl, dT, D, b, deg, wi, nbrs, mu_sl, lam_sl) in enumerate(self._blocks):
-            li = lammat[i]
-            if views is None:
-                vu, vmu, vlam = out[sl], out[mu_sl], out[lam_sl]
-            else:
-                vu, vmu, vlam = views[i]
-            np.dot(dT, li, out=vu)
-            vu += fvals[sl]
-            laplacian_block(deg, wi, li, lammat[nbrs], out=vmu)
-            laplacian_block(deg, wi, diffmat[i], diffmat[nbrs], out=vlam)
-            vlam += b
-            vlam -= np.dot(D, u[sl])
+        out = np.empty(part.state_dim) if slot is None else self._slots[slot]
+        vu = self._dual_pull(x[d + nm :], out=out[:d])
+        vu += fvals
+        pair = self._pair
+        lam = pair[:, :m]
+        lam[...] = x[d + nm :].reshape(n, m)
+        np.subtract(lam, x[d : d + nm].reshape(n, m), out=pair[:, m:])
+        lap = self.graph.laplacian_rows(pair, out=self._lap)
+        out[d : d + nm].reshape(n, m)[...] = lap[:, :m]
+        vlam = np.add(lap[:, m:], self._b_rows, out=out[d + nm :].reshape(n, m))
+        vlam -= self._primal_push(u, out=self._push).reshape(n, m)
         return out
 
     def resolvent_flat(self, x: np.ndarray, psi: Preconditioner) -> np.ndarray:

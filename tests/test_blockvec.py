@@ -6,6 +6,7 @@ import pytest
 from gnes.blockvec import (
     AgentPartition,
     BlockVector,
+    OrderedRows,
     Preconditioner,
     PrimalDualState,
     psi_inner,
@@ -156,3 +157,35 @@ def test_relaxed_combine():
     out = relaxed_combine(z, r, 0.25)
     assert np.array_equal(out.data, [1.5, 2.0, 3.0])
     assert np.array_equal(relaxed_combine(z, r, 1.0).data, r.data)
+
+
+def test_ordered_rows_matches_dense_product_and_its_own_row_subsets():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
+        a = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.5)
+        x = rng.normal(size=cols)
+        xs = rng.normal(size=(cols, 3))
+        full = OrderedRows.from_dense(a)
+        assert np.allclose(full(x), a @ x, atol=1e-12)
+        assert np.allclose(full(xs), a @ xs, atol=1e-12)
+        # a subset of rows, evaluated on its own, gives the same floats;
+        # this is what an agent node evaluating only its rows relies on
+        keep = rng.random(rows) < 0.5
+        part = OrderedRows.from_dense(a[keep])
+        assert np.array_equal(part(x), full(x)[keep])
+        assert np.array_equal(part(xs), full(xs)[keep])
+        out = np.full(rows, np.nan)
+        assert full(x, out=out) is out
+        assert np.array_equal(out, full(x))
+
+
+def test_ordered_rows_sums_left_to_right_and_empty_rows_are_zero():
+    a = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    x = np.array([1.0, 1e-16, 1e-16])
+    got = OrderedRows.from_dense(a)(x)
+    # (1 + 1e-16) + 1e-16 rounds to 1 twice; another order would not
+    assert got[0] == 1.0
+    assert got[1] == 0.0
+    assert got[2] == 2e-16
+    assert np.array_equal(OrderedRows.from_dense(np.zeros((2, 3)))(x), [0.0, 0.0])

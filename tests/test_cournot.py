@@ -14,7 +14,7 @@ from gnes.cournot import (
 )
 from gnes.errors import ConfigurationError
 from gnes.instances import load_document
-from gnes.stochastic import AgentStreams, PHASE_XI
+from gnes.stochastic import PHASE_ETA, AgentStreams
 
 
 def two_firm_config(**overrides):
@@ -224,16 +224,20 @@ def test_lipschitz_probe_rejects_constant_gradient():
 
 
 def test_stacked_sampling_matches_per_firm_path():
-    cfg = CournotConfig(seed=0, demand_sd=0.01)
-    problem, oracle, _ = generate(cfg)
+    # a small demand intercept keeps the sampled term from being rounded
+    # away, so a different summation order of the draws would show
+    problem, oracle, _ = generate(CournotConfig(seed=0, demand_sd=0.01, demand_q=1.0))
     part = problem.partition
-    u = np.random.default_rng(1).uniform(0.0, 200.0, part.total_dim)
+    rng = np.random.default_rng(1)
     out = np.empty(part.total_dim)
-    oracle.sample_mean_stack(u, 8, AgentStreams(42), 5, PHASE_XI, out, part)
-    streams = AgentStreams(42)
-    for i in range(part.num_agents):
-        block = oracle.sample_mean(i, u, 8, streams.generator(i, 5, PHASE_XI))
-        assert np.array_equal(out[part.primal_slice(i)], block)
+    for size in (1, 7, 8, 13, 130):
+        for k in range(20):
+            u = rng.uniform(0.0, 200.0, part.total_dim)
+            oracle.sample_mean_stack(u, size, AgentStreams(42), k, PHASE_ETA, out, part)
+            streams = AgentStreams(42)
+            for i in range(part.num_agents):
+                block = oracle.sample_mean(i, u, size, streams.generator(i, k, PHASE_ETA))
+                assert np.array_equal(out[part.primal_slice(i)], block), (size, k, i)
 
 
 def test_document_roundtrip():

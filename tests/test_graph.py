@@ -151,3 +151,22 @@ def test_apply_laplacian_validation():
         apply_laplacian(g, BlockVector(part, np.zeros(2), "primal"))
     with pytest.raises(ConfigurationError):
         apply_laplacian(generate_graph("ring", 3), BlockVector(part, np.zeros(2), "dual"))
+
+
+def test_laplacian_rows_match_the_agent_kernel_exactly():
+    rng = np.random.default_rng(17)
+    graphs = [generate_graph("ring", 5), generate_graph("star", 6), generate_graph("complete", 4)]
+    graphs += [
+        generate_graph("erdos-renyi", int(rng.integers(2, 12)), p=0.5, seed=int(rng.integers(1 << 31)))
+        for _ in range(20)
+    ]
+    for g in graphs:
+        w = g.weights * rng.uniform(0.5, 2.0, size=g.weights.shape)
+        g = build_graph(w + w.T)
+        vals = rng.normal(size=(g.num_agents, 3))
+        rows = g.laplacian_rows(vals)
+        assert np.allclose(rows, g.laplacian @ vals, atol=1e-12)
+        for i in range(g.num_agents):
+            nbrs = g.neighbors[i]
+            block = laplacian_block(g.degrees[i], g.neighbor_weights[i], vals[i], vals[nbrs])
+            assert np.array_equal(rows[i], block)
