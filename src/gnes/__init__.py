@@ -17,7 +17,7 @@ from .errors import (
     NumericError,
     ToleranceError,
 )
-from .graph import CommGraph, build_graph, generate_graph
+from .graph import CommGraph, generate_graph
 from .operators import ExtendedOperator, GameProblem, KKTReport, kkt_check
 from .solver import (
     DiagnosticsReport,
@@ -50,7 +50,6 @@ __all__ = [
     "NumericError",
     "ToleranceError",
     "CommGraph",
-    "build_graph",
     "generate_graph",
     "ExtendedOperator",
     "GameProblem",

@@ -21,7 +21,6 @@ __all__ = [
     "OrderedRows",
     "psi_inner",
     "psi_norm",
-    "relaxed_combine",
 ]
 
 
@@ -329,13 +328,3 @@ def psi_norm(x: PrimalDualState, psi: Preconditioner) -> float:
     v = psi_inner(x, x, psi)
     return float(np.sqrt(v if v > 0.0 else 0.0))
 
-
-def relaxed_combine(z: PrimalDualState, r: PrimalDualState, rho: float) -> PrimalDualState:
-    """Convex-to-full relaxation (1 - rho) z + rho r with rho in (0, 1]."""
-    if not 0.0 < rho <= 1.0:
-        raise ConfigurationError(
-            f"relaxation weight must lie in (0, 1], got {rho}", field="rho"
-        )
-    if z.partition is not r.partition and z.partition != r.partition:
-        raise DimensionMismatchError("states use different partitions", block="state")
-    return PrimalDualState(z.partition, (1.0 - rho) * z.data + rho * r.data)

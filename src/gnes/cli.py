@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, GnesError
 from .instances import builtin_document, load_document
-from .solver import SolverParams, diagnostics_check, run, solve_ground_truth
+from .solver import VARIANTS, SolverParams, diagnostics_check, run, solve_ground_truth
 from .stochastic import (
     AdditiveGaussianOracle,
     BatchSchedule,
@@ -53,8 +53,6 @@ from .stochastic import (
 )
 
 logger = logging.getLogger(__name__)
-
-VARIANTS = ("risfbf", "sfbf", "sfb")
 
 _SOURCES = ("builtin", "instance", "instance_path", "cournot")
 _NOISE_KINDS = ("zero", "gaussian")
@@ -582,8 +580,6 @@ def cmd_gen_cournot(seed: int | None, out: str | None, base: dict | None,
     from .cournot import CournotConfig
 
     cfg = dict(base or {})
-    if "participation" in cfg and cfg["participation"] is not None:
-        cfg["participation"] = tuple(tuple(int(j) for j in row) for row in cfg["participation"])
     if seed is not None:
         cfg["seed"] = seed
     if allow_nonmonotone:

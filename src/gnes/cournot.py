@@ -20,6 +20,7 @@ The default configuration is the ten-firm, seven-market benchmark.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,9 @@ class CournotConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self._check_types()
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0", field="seed")
         if not 1.0 < self.demand_exponent <= 3.0:
             raise ConfigurationError(
                 f"demand exponent must lie in (1, 3] for a monotone game, "
@@ -125,7 +129,7 @@ class CournotConfig:
                     field="participation",
                 )
             part = DEFAULT_PARTICIPATION
-        part = tuple(tuple(int(j) for j in row) for row in part)
+        part = tuple(tuple(row) for row in part)
         if len(part) != self.num_firms:
             raise ConfigurationError(
                 f"participation lists {len(part)} firms, expected {self.num_firms}",
@@ -155,6 +159,52 @@ class CournotConfig:
             )
         object.__setattr__(self, "participation", part)
 
+    def _check_types(self):
+        """Each field's type is that of its default; graph_p is a number or None.
+
+        Integers and numbers are JSON integers and finite JSON numbers,
+        never booleans.
+        """
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.default is None and value is None:
+                continue
+            if f.name == "participation":
+                ok = _is_list(value) and all(
+                    _is_list(row) and all(_is_integer(j) for j in row) for row in value
+                )
+                what = "a list of integer lists"
+            elif f.default is None or type(f.default) is float:
+                ok = _is_number(value)
+                what = "a finite number"
+            elif type(f.default) is int:
+                ok = _is_integer(value)
+                what = "an integer"
+            else:
+                ok = type(value) is type(f.default)
+                what = "true or false" if type(f.default) is bool else "a string"
+            if not ok:
+                raise ConfigurationError(
+                    f"{f.name} must be {what}, not {type(value).__name__}", field=f.name
+                )
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
 
 class _MarketLayout:
     """Gather metadata: where each market's quantities live in the stack."""
@@ -180,9 +230,6 @@ class _MarketLayout:
             bounds.append(np.concatenate(([0], ends[:-1])).astype(np.int64))
         self._gather = tuple(gather)
         self._bounds = tuple(bounds)
-        # per-firm scratch, fully overwritten on every call
-        self._pow = tuple(np.empty(m.shape[0]) for m in self.markets)
-        self._tmp = tuple(np.empty(m.shape[0]) for m in self.markets)
         # the same segment sums for all markets at once, and each
         # coordinate's market, firm offset, firm width and position
         self.market_gather = np.concatenate(self.coords)
@@ -213,28 +260,34 @@ class _MarketLayout:
         """Own quantities and the slope factor S~^s + s u S~^(s-1) per served market.
 
         Aggregates are clamped at zero before the fractional powers so
-        the oracle stays defined when iterates leave the box. The factor
-        array is scratch owned by the layout; callers must consume it
-        before the next call for the same firm.
+        the oracle stays defined when iterates leave the box.
         """
         own = u[self.own_slice[i]]
         totals = np.add.reduceat(u[self._gather[i]], self._bounds[i])
         np.maximum(totals, 0.0, out=totals)
         # S^e + e u S^(e-1) factored as S^(e-1) (S + e u); one power
-        factor = np.power(totals, exponent - 1.0, out=self._pow[i])
-        tmp = np.multiply(exponent, own, out=self._tmp[i])
+        factor = np.power(totals, exponent - 1.0)
+        tmp = np.multiply(exponent, own)
         tmp += totals
         factor *= tmp
         return own, factor
 
-    def firm_terms_many(self, i: int, pts: np.ndarray, exponent: float):
-        """firm_terms over rows of points, with identical per-row floats."""
-        own = pts[:, self.own_slice[i]]
-        totals = np.add.reduceat(pts[:, self._gather[i]], self._bounds[i], axis=1)
+    def slope_factor(self, u: np.ndarray, exponent: float) -> np.ndarray:
+        """The factor of firm_terms for every coordinate of one point or of rows of points.
+
+        Each market's total is summed once, in the same order as in
+        firm_terms, so every entry equals the per-firm factor bit for bit.
+        """
+        totals = np.add.reduceat(u[..., self.market_gather], self.market_starts, axis=-1)
         np.maximum(totals, 0.0, out=totals)
-        factor = totals ** (exponent - 1.0)
-        factor *= totals + exponent * own
-        return own, factor
+        # take, not fancy indexing, keeps rows of points C-ordered, so row
+        # norms of the result sum as they do over per-point evaluations
+        totals = totals.take(self.market_of, axis=-1)
+        tmp = np.multiply(exponent, u)
+        tmp += totals
+        factor = np.power(totals, exponent - 1.0, out=totals)
+        factor *= tmp
+        return factor
 
 
 class CournotDemandOracle(SamplingOracle):
@@ -252,25 +305,26 @@ class CournotDemandOracle(SamplingOracle):
 
     def __init__(self, layout: _MarketLayout, costs: tuple, config: CournotConfig):
         self._layout = layout
-        self._costs = costs
         self._base = tuple(c - config.demand_q for c in costs)
         self._base_stack = np.concatenate(self._base)
-        self._q = config.demand_q
         self._pbar = config.demand_slope
         self._sd = config.demand_sd
         self._cut = 3.0 * config.demand_sd
         self._exp = config.demand_exponent
         self._sign = config.demand_sign
-        self.noise_bound = None
-
-    def dim(self, agent: int) -> int:
-        return self._layout.markets[agent].shape[0]
 
     def _slopes(self, size: int, width: int, rng: np.random.Generator) -> np.ndarray:
         eps = rng.normal(0.0, self._sd, size=(size, width))
         eps.clip(-self._cut, self._cut, out=eps)
         eps += self._pbar
         return eps
+
+    def mean_gradient(self, u: np.ndarray) -> np.ndarray:
+        """Deterministic stacked gradient at one point or at rows of points.
+
+        Each entry has the floats of the per-firm gradient oracles.
+        """
+        return self._base_stack - self._sign * self._pbar * self._layout.slope_factor(u, self._exp)
 
     def sample_gradient_batch(self, agent, u, size, rng):
         own, factor = self._layout.firm_terms(agent, u, self._exp)
@@ -303,14 +357,7 @@ class CournotDemandOracle(SamplingOracle):
         # per-coordinate row sum, so the result is bit identical to the
         # firm-by-firm path the agent nodes take
         layout = self._layout
-        exp = self._exp
-        totals = np.add.reduceat(u[layout.market_gather], layout.market_starts)
-        np.maximum(totals, 0.0, out=totals)
-        totals = totals[layout.market_of]
-        factor = np.power(totals, exp - 1.0)
-        tmp = np.multiply(exp, u)
-        tmp += totals
-        factor *= tmp
+        factor = layout.slope_factor(u, self._exp)
         factor *= self._sign
         eps = np.empty(size * u.shape[0])
         for i, (start, width) in enumerate(zip(layout.offsets, layout.widths)):
@@ -342,45 +389,28 @@ def _make_gradients(layout: _MarketLayout, costs: tuple, config: CournotConfig) 
     return tuple(make(i) for i in range(len(costs)))
 
 
-def _stacked_gradient(problem: GameProblem, u: np.ndarray) -> np.ndarray:
-    part = problem.partition
-    out = np.empty(part.total_dim)
-    for i in range(part.num_agents):
-        out[part.primal_slice(i)] = problem.gradient(i, u)
-    return out
-
-
 def estimate_lipschitz(
-    problem: GameProblem,
+    gradient_rows,
+    lo: np.ndarray,
+    hi: np.ndarray,
     seed: int,
     pairs: int = 10_000,
     margin: float = 1.1,
-    gradient_many: "callable | None" = None,
 ) -> float:
-    """Empirical Lipschitz constant of the stacked gradient over the box.
+    """Empirical Lipschitz constant of a stacked gradient over the box [lo, hi].
 
     Samples uniform point pairs, takes the largest difference quotient,
-    and inflates it by the margin. Deterministic in the seed. When
-    gradient_many is given it must map an array of row points to their
-    stacked gradients with the same floats as the per-point evaluation;
-    the probe then avoids a python loop over the pairs.
+    and inflates it by the margin. Deterministic in the seed.
+    gradient_rows maps an array of row points to their stacked
+    gradients, row by row.
     """
     rng = np.random.default_rng([seed, 1])
-    lo, hi = problem.lo_stack, problem.hi_stack
-    # one row-major block consumes the stream exactly like the former
-    # per-point draws: row 2t is pair t's first point, row 2t+1 its second
+    # one row-major block: row 2t is pair t's first point, row 2t+1 its second
     points = rng.uniform(lo, hi, size=(2 * pairs, lo.shape[0]))
     u_pts = points[0::2]
     v_pts = points[1::2]
     gaps = np.linalg.norm(u_pts - v_pts, axis=1)
-    if gradient_many is not None:
-        diffs = gradient_many(u_pts) - gradient_many(v_pts)
-        slopes = np.linalg.norm(diffs, axis=1)
-    else:
-        slopes = np.empty(pairs)
-        for t in range(pairs):
-            diff = _stacked_gradient(problem, u_pts[t]) - _stacked_gradient(problem, v_pts[t])
-            slopes[t] = np.linalg.norm(diff)
+    slopes = np.linalg.norm(gradient_rows(u_pts) - gradient_rows(v_pts), axis=1)
     keep = gaps >= 1e-12
     worst = float(np.max(slopes[keep] / gaps[keep])) if np.any(keep) else 0.0
     if worst == 0.0:
@@ -408,7 +438,7 @@ def monotonicity_probe(problem: GameProblem, trials: int = 1000, seed: int = 0) 
         nsq = float(np.dot(du, du))
         if nsq < 1e-20:
             continue
-        gap = float(np.dot(_stacked_gradient(problem, u) - _stacked_gradient(problem, v), du))
+        gap = float(np.dot(problem.stacked_gradient(u) - problem.stacked_gradient(v), du))
         worst = min(worst, gap / nsq)
     return worst
 
@@ -454,38 +484,27 @@ def generate(config: CournotConfig | None = None) -> tuple[GameProblem, CournotD
             if j in participation[l] and l != i
         }
         interaction.append(np.array(sorted(others), dtype=np.int64))
-    grads = _make_gradients(layout, costs, config)
+    oracle = CournotDemandOracle(layout, costs, config)
+    ell = estimate_lipschitz(
+        oracle.mean_gradient,
+        np.zeros(part.total_dim),
+        np.concatenate(caps),
+        config.seed,
+        pairs=config.lipschitz_pairs,
+        margin=config.lipschitz_margin,
+    )
     problem = GameProblem(
         partition=part,
-        grad_f=grads,
+        grad_f=_make_gradients(layout, costs, config),
         D=tuple(d_mats),
         b=tuple(share.copy() for _ in range(n)),
         box_lo=tuple(np.zeros(k) for k in dims),
         box_hi=caps,
-        lipschitz_ell=1.0,
+        lipschitz_ell=ell,
         interaction=tuple(interaction),
     )
-    def gradient_many(pts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(pts)
-        for i in range(n):
-            _, factor = layout.firm_terms_many(i, pts, config.demand_exponent)
-            out[:, layout.own_slice[i]] = (
-                costs[i] - config.demand_q
-                - config.demand_sign * config.demand_slope * factor
-            )
-        return out
-
-    ell = estimate_lipschitz(
-        problem,
-        config.seed,
-        pairs=config.lipschitz_pairs,
-        margin=config.lipschitz_margin,
-        gradient_many=gradient_many,
-    )
-    problem = dataclasses.replace(problem, lipschitz_ell=ell)
     if config.graph == "erdos-renyi":
         graph = generate_graph(config.graph, n, p=config.graph_p, seed=config.seed + 1_000_003)
     else:
         graph = generate_graph(config.graph, n)
-    oracle = CournotDemandOracle(layout, costs, config)
     return problem, oracle, graph

@@ -14,14 +14,12 @@ from collections import deque
 
 import numpy as np
 
-from .blockvec import BlockVector, OrderedRows
+from .blockvec import OrderedRows
 from .errors import ConfigurationError, ToleranceError
 
 __all__ = [
     "CommGraph",
-    "build_graph",
     "generate_graph",
-    "apply_laplacian",
     "laplacian_block",
     "largest_eigenvalue_psd",
 ]
@@ -123,12 +121,12 @@ class CommGraph:
     def num_agents(self) -> int:
         return self.weights.shape[0]
 
-    def laplacian_rows(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def laplacian_rows(self, values: np.ndarray) -> np.ndarray:
         """(L (x) I) applied to the rows of an (N, k) array, all blocks at once.
 
         Row i equals laplacian_block for agent i on the same data.
         """
-        out = np.multiply(self._degree_col, values, out=out)
+        out = self._degree_col * values
         out -= self._adjacency(values)
         return out
 
@@ -148,11 +146,6 @@ def _connected(neighbors: tuple[np.ndarray, ...]) -> bool:
                 seen[j] = True
                 queue.append(int(j))
     return bool(seen.all())
-
-
-def build_graph(weights) -> CommGraph:
-    """Validate a weight matrix and precompute Laplacian quantities."""
-    return CommGraph(weights)
 
 
 def generate_graph(
@@ -232,14 +225,3 @@ def laplacian_block(
         out -= acc
     return out
 
-
-def apply_laplacian(g: CommGraph, v: BlockVector) -> BlockVector:
-    """Stacked product (L (x) I_m) v without forming the Kronecker matrix."""
-    if v.kind != "dual":
-        raise ConfigurationError("Laplacian acts on stacked dual vectors", field="kind")
-    n = g.num_agents
-    if v.partition.num_agents != n:
-        raise ConfigurationError("graph size does not match the partition", field="weights")
-    m = v.partition.constraint_dim
-    out = g.laplacian_rows(v.data.reshape(n, m))
-    return BlockVector(v.partition, out.ravel(), "dual")

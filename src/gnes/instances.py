@@ -25,7 +25,7 @@ import numpy as np
 from .blockvec import AgentPartition
 from .cournot import CournotConfig, generate
 from .errors import ConfigurationError
-from .graph import CommGraph, build_graph, generate_graph, largest_eigenvalue_psd
+from .graph import CommGraph, generate_graph, largest_eigenvalue_psd
 from .operators import GameProblem
 
 __all__ = [
@@ -161,7 +161,7 @@ def affine_gradients(m_mat: np.ndarray, q: np.ndarray, partition: AgentPartition
 
 def _graph_from_spec(spec: dict, n: int) -> CommGraph:
     if "weights" in spec:
-        return build_graph(np.asarray(spec["weights"], dtype=np.float64))
+        return CommGraph(np.asarray(spec["weights"], dtype=np.float64))
     name = spec.get("name")
     if name is None:
         raise ConfigurationError(
@@ -230,9 +230,6 @@ def load_document(doc: dict):
         cfg = _require(doc, "config")
         if not isinstance(cfg, dict):
             raise ConfigurationError("cournot config must be a mapping", field="config")
-        if "participation" in cfg and cfg["participation"] is not None:
-            cfg = dict(cfg)
-            cfg["participation"] = tuple(tuple(int(j) for j in row) for row in cfg["participation"])
         try:
             config = CournotConfig(**cfg)
         except TypeError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockvec import AgentPartition, BlockVector, OrderedRows, Preconditioner, PrimalDualState
+from .blockvec import AgentPartition, OrderedRows, Preconditioner
 from .errors import ConfigurationError, DimensionMismatchError, NumericError, ToleranceError
 from .graph import CommGraph, largest_eigenvalue_psd
 
@@ -27,10 +27,6 @@ __all__ = [
     "GameProblem",
     "ExtendedOperator",
     "KKTReport",
-    "apply_F",
-    "apply_V",
-    "resolvent_T",
-    "residual_r_psi",
     "proj_shared_set",
     "residual_res",
     "kkt_check",
@@ -174,6 +170,14 @@ class GameProblem:
             raise NumericError("gradient evaluation produced a non-finite value", agent=i)
         return g
 
+    def stacked_gradient(self, u: np.ndarray) -> np.ndarray:
+        """Pseudogradient F(u), every agent's partial gradient in its block."""
+        part = self.partition
+        out = np.empty(part.total_dim)
+        for i in range(part.num_agents):
+            out[part.primal_slice(i)] = self.gradient(i, u)
+        return out
+
 
 class ExtendedOperator:
     """V together with the resolvent of the separable part T.
@@ -183,10 +187,7 @@ class ExtendedOperator:
     is what step size selection uses.
     """
 
-    __slots__ = (
-        "problem", "graph", "lipschitz_ell_V", "_dual_pull", "_primal_push",
-        "_b_rows", "_pair", "_lap", "_push", "_slots",
-    )
+    __slots__ = ("problem", "graph", "lipschitz_ell_V", "_dual_pull", "_primal_push", "_b_rows")
 
     def __init__(self, problem: GameProblem, graph: CommGraph):
         if graph.num_agents != problem.partition.num_agents:
@@ -212,40 +213,16 @@ class ExtendedOperator:
         self._dual_pull = OrderedRows((d, n * m), cols, rows, vals)
         self._primal_push = OrderedRows((n * m, d), rows, cols, vals)
         self._b_rows = np.stack(problem.b)
-        # scratch for one evaluation: [lambda | lambda - mu] rows, their
-        # Laplacian, and D u
-        self._pair = np.empty((n, 2 * m))
-        self._lap = np.empty((n, 2 * m))
-        self._push = np.empty(n * m)
-        # one output buffer per sampling phase, so the solver's two V
-        # evaluations per iteration skip allocation; see v_flat
-        self._slots = (np.empty(part.state_dim), np.empty(part.state_dim))
 
     # flat-array engine ----------------------------------------------------
     #
-    # The solver calls these with raw state arrays. Every product sums its
-    # terms in the order the agent nodes use (OrderedRows, laplacian_rows),
-    # so both executors produce identical floats.
+    # The solver calls these with raw state arrays and gets fresh arrays
+    # back. Every product sums its terms in the order the agent nodes use
+    # (OrderedRows, laplacian_rows), so both executors produce identical
+    # floats.
 
-    def f_det(self, u: np.ndarray) -> np.ndarray:
-        """Stacked deterministic gradient F(u)."""
-        part = self.problem.partition
-        out = np.empty(part.total_dim)
-        for i in range(part.num_agents):
-            out[part.primal_slice(i)] = self.problem.gradient(i, u)
-        return out
-
-    def v_flat(
-        self, x: np.ndarray, fvals: np.ndarray | None = None, slot: int | None = None
-    ) -> np.ndarray:
-        """V(x) on a flat state; fvals overrides the F(u) part when given.
-
-        With slot 0 or 1 the result lives in a buffer owned by the
-        operator and stays valid only until the next v_flat call with
-        the same slot; the solver maps its two per-iteration
-        evaluations onto the two slots. The default returns a fresh
-        array.
-        """
+    def v_flat(self, x: np.ndarray, fvals: np.ndarray | None = None) -> np.ndarray:
+        """V(x) on a flat state; fvals overrides the F(u) part when given."""
         part = self.problem.partition
         n = part.num_agents
         d = part.total_dim
@@ -253,18 +230,19 @@ class ExtendedOperator:
         m = part.constraint_dim
         u = x[:d]
         if fvals is None:
-            fvals = self.f_det(u)
-        out = np.empty(part.state_dim) if slot is None else self._slots[slot]
+            fvals = self.problem.stacked_gradient(u)
+        out = np.empty(part.state_dim)
         vu = self._dual_pull(x[d + nm :], out=out[:d])
         vu += fvals
-        pair = self._pair
+        # [lambda | lambda - mu] rows, so one Laplacian pass serves both blocks
+        pair = np.empty((n, 2 * m))
         lam = pair[:, :m]
         lam[...] = x[d + nm :].reshape(n, m)
         np.subtract(lam, x[d : d + nm].reshape(n, m), out=pair[:, m:])
-        lap = self.graph.laplacian_rows(pair, out=self._lap)
+        lap = self.graph.laplacian_rows(pair)
         out[d : d + nm].reshape(n, m)[...] = lap[:, :m]
         vlam = np.add(lap[:, m:], self._b_rows, out=out[d + nm :].reshape(n, m))
-        vlam -= self._primal_push(u, out=self._push).reshape(n, m)
+        vlam -= self._primal_push(u).reshape(n, m)
         return out
 
     def resolvent_flat(self, x: np.ndarray, psi: Preconditioner) -> np.ndarray:
@@ -289,32 +267,6 @@ class ExtendedOperator:
         v = self.v_flat(x)
         y = self.resolvent_flat(x - psi.inv_weights * v, psi)
         return float(np.linalg.norm(x - y))
-
-
-def apply_F(p: GameProblem, u: BlockVector) -> BlockVector:
-    """Stacked pseudogradient F(u)."""
-    if u.kind != "primal":
-        raise ConfigurationError("F acts on primal vectors", field="kind")
-    part = p.partition
-    out = np.empty(part.total_dim)
-    for i in range(part.num_agents):
-        out[part.primal_slice(i)] = p.gradient(i, u.data)
-    return BlockVector(part, out, "primal")
-
-
-def apply_V(op: ExtendedOperator, x: PrimalDualState) -> PrimalDualState:
-    """Extended operator value at a state."""
-    return PrimalDualState(x.partition, op.v_flat(x.data))
-
-
-def resolvent_T(op: ExtendedOperator, x: PrimalDualState, psi: Preconditioner) -> PrimalDualState:
-    """Resolvent J of Psi^-1 T applied to a state."""
-    return PrimalDualState(x.partition, op.resolvent_flat(x.data, psi))
-
-
-def residual_r_psi(op: ExtendedOperator, x: PrimalDualState, psi: Preconditioner) -> float:
-    """Fixed-point residual; zero exactly at the zeros of V + T."""
-    return op.r_psi_flat(x.data, psi)
 
 
 def _row_multiplier(base, a, lo, hi, c) -> float:
@@ -434,10 +386,7 @@ def proj_shared_set(
 def residual_res(p: GameProblem, u: np.ndarray, proj_tol: float = 1e-10) -> float:
     """Natural residual || u - proj_C(u - F(u)) || of the shared-constraint VI."""
     u = np.asarray(u, dtype=np.float64).ravel()
-    part = p.partition
-    f = np.empty(part.total_dim)
-    for i in range(part.num_agents):
-        f[part.primal_slice(i)] = p.gradient(i, u)
+    f = p.stacked_gradient(u)
     return float(np.linalg.norm(u - proj_shared_set(p, u - f, tol=proj_tol)))
 
 
@@ -475,10 +424,11 @@ def kkt_check(p: GameProblem, u: np.ndarray, lam: np.ndarray, tol: float = 1e-8)
             f"multiplier has shape {lam.shape}, expected ({part.constraint_dim},)",
             block="lambda",
         )
+    f = p.stacked_gradient(u)
     stat = 0.0
     for i in range(part.num_agents):
         sl = part.primal_slice(i)
-        g = p.gradient(i, u) + p.D[i].T @ lam
+        g = f[sl] + p.D[i].T @ lam
         z = p.prox(i, u[sl] - g, 1.0)
         stat = max(stat, float(np.linalg.norm(u[sl] - z)))
     slack = p.D_stack @ u - p.b_total

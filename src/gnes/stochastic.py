@@ -21,7 +21,6 @@ __all__ = [
     "PHASE_XI",
     "PHASE_ETA",
     "BatchSchedule",
-    "batch_size",
     "AgentStreams",
     "SamplingOracle",
     "ZeroNoiseOracle",
@@ -63,11 +62,6 @@ class BatchSchedule:
         if k < 0:
             raise ConfigurationError("iteration index must be >= 0", field="k")
         return max(1, math.ceil(self.scale * (k + 1) ** self.growth))
-
-
-def batch_size(schedule: BatchSchedule, k: int) -> int:
-    """Mini-batch size at iteration k."""
-    return schedule.size(k)
 
 
 def _pack_key(seed: int, agent: int, iteration: int, phase: int) -> np.ndarray:
@@ -131,11 +125,6 @@ class SamplingOracle:
     the average from its own law.
     """
 
-    noise_bound: float | None = None
-
-    def dim(self, agent: int) -> int:
-        raise NotImplementedError
-
     def sample_gradient_batch(
         self, agent: int, u: np.ndarray, size: int, rng: np.random.Generator
     ) -> np.ndarray:
@@ -164,10 +153,6 @@ class ZeroNoiseOracle(SamplingOracle):
 
     def __init__(self, problem):
         self.problem = problem
-        self.noise_bound = 0.0
-
-    def dim(self, agent: int) -> int:
-        return self.problem.partition.dims[agent]
 
     def sample_gradient_batch(self, agent, u, size, rng):
         g = self.problem.gradient(agent, u)
@@ -186,10 +171,6 @@ class AdditiveGaussianOracle(SamplingOracle):
             raise ConfigurationError("noise level must be finite and >= 0", field="sd")
         self.problem = problem
         self.sd = float(sd)
-        self.noise_bound = self.sd * math.sqrt(problem.partition.total_dim)
-
-    def dim(self, agent: int) -> int:
-        return self.problem.partition.dims[agent]
 
     def sample_gradient_batch(self, agent, u, size, rng):
         g = self.problem.gradient(agent, u)
@@ -245,13 +226,12 @@ def sample_V_hat(
     """V(x) with the F block replaced by its mini-batch estimate.
 
     Noise enters only the first d coordinates; the Laplacian and
-    constraint blocks are exact. The result reuses the operator's
-    per-phase buffer, so it is overwritten by the next estimate drawn
-    for the same phase.
+    constraint blocks are exact. Each call returns a new array, so an
+    estimate the caller holds stays valid across later calls.
     """
     part = op.problem.partition
     fvals = sample_F_hat(oracle, x[: part.total_dim], size, streams, iteration, phase, part)
-    return op.v_flat(x, fvals, slot=phase)
+    return op.v_flat(x, fvals)
 
 
 def estimate_noise_bound(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gnes.blockvec import AgentPartition
-from gnes.graph import build_graph
+from gnes.graph import CommGraph
 from gnes.instances import builtin_document, load_document
 from gnes.operators import GameProblem
 
@@ -65,7 +65,7 @@ def scalar_game(m_val=1.0, q_val=0.0, lo=-10.0, hi=10.0, d_row=0.0, b_val=0.0):
         box_hi=(np.array([hi]),),
         lipschitz_ell=abs(m),
     )
-    graph = build_graph(np.zeros((1, 1)))
+    graph = CommGraph(np.zeros((1, 1)))
     return problem, graph
 
 
@@ -99,7 +99,7 @@ def random_affine_game(rng, dims=(2, 1, 2), m=2):
         w = np.triu(w, 1)
         w = w + w.T
         try:
-            graph = build_graph(w)
+            graph = CommGraph(w)
             break
         except Exception:
             continue

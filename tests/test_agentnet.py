@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnes.agentnet import Exchange, Message, run_distributed
 from gnes.blockvec import PrimalDualState
@@ -11,7 +13,7 @@ from gnes.graph import generate_graph
 from gnes.solver import SolverParams, run
 from gnes.stochastic import AdditiveGaussianOracle, BatchSchedule, ZeroNoiseOracle
 
-from conftest import load_builtin
+from conftest import load_builtin, random_affine_game
 
 
 def _both(problem, graph, oracle, params, seed):
@@ -44,6 +46,26 @@ def test_network_matches_monolithic(name, variant, alpha_bar, sd, seed):
     assert np.array_equal(s_mono.data, s_net.data)
     assert t_mono.state_hash == t_net.state_hash
     assert t_mono.iterations == t_net.iterations == report.iterations
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    m=st.integers(1, 3),
+    game_seed=st.integers(0, 2**32 - 1),
+    run_seed=st.integers(0, 2**32 - 1),
+    iterations=st.integers(1, 40),
+)
+def test_network_matches_monolithic_on_random_affine_games(dims, m, game_seed, run_seed, iterations):
+    problem, graph = random_affine_game(np.random.default_rng(game_seed), dims=tuple(dims), m=m)
+    for oracle in (ZeroNoiseOracle(problem), AdditiveGaussianOracle(problem, sd=0.1)):
+        for variant in ("risfbf", "sfbf", "sfb"):
+            params = SolverParams(
+                variant=variant, max_iters=iterations, tol=0.0, batch=BatchSchedule(1.0, 1.2)
+            )
+            s_mono, t_mono, s_net, t_net, _ = _both(problem, graph, oracle, params, run_seed)
+            assert np.array_equal(s_mono.data, s_net.data), variant
+            assert t_mono.state_hash == t_net.state_hash, variant
 
 
 def test_network_matches_on_cournot_market():

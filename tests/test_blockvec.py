@@ -11,7 +11,6 @@ from gnes.blockvec import (
     PrimalDualState,
     psi_inner,
     psi_norm,
-    relaxed_combine,
 )
 from gnes.errors import ConfigurationError, DimensionMismatchError
 
@@ -148,15 +147,6 @@ def test_psi_inner_rejects_partition_mismatch():
     y = PrimalDualState.zeros(other)
     with pytest.raises(DimensionMismatchError):
         psi_inner(x, y, psi)
-
-
-def test_relaxed_combine():
-    part = AgentPartition((1,), 1)
-    z = PrimalDualState(part, np.array([1.0, 2.0, 4.0]))
-    r = PrimalDualState(part, np.array([3.0, 2.0, 0.0]))
-    out = relaxed_combine(z, r, 0.25)
-    assert np.array_equal(out.data, [1.5, 2.0, 3.0])
-    assert np.array_equal(relaxed_combine(z, r, 1.0).data, r.data)
 
 
 def test_ordered_rows_matches_dense_product_and_its_own_row_subsets():

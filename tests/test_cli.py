@@ -160,6 +160,26 @@ def test_config_type_error_exits_2_with_json_error(tmp_path, capsys):
         assert err["field"] == field
 
 
+@pytest.mark.parametrize("settings,field", [
+    ({"seed": "abc"}, "seed"),
+    ({"participation": 5}, "participation"),
+    ({"demand_q": "x"}, "demand_q"),
+])
+def test_cournot_setting_type_error_exits_2_and_writes_nothing(tmp_path, capsys, settings, field):
+    out = tmp_path / "o"
+    doc = base_doc(problem={"cournot": settings}, out=str(out))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["field"]) == ("ConfigurationError", field)
+    assert not out.exists()
+    inst = tmp_path / "inst.json"
+    gen = write_config(tmp_path, settings, "settings.json")
+    assert main(["gen", "cournot", "--config", gen, "--out", str(inst)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["field"]) == ("ConfigurationError", field)
+    assert not inst.exists()
+
+
 def test_output_files_follow_the_umask(tmp_path, capsys):
     out = tmp_path / "out"
     path = write_config(tmp_path, base_doc(out=str(out)))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from gnes.blockvec import AgentPartition
 from gnes.cournot import (
     DEFAULT_PARTICIPATION,
     CournotConfig,
@@ -70,6 +69,43 @@ def test_config_validation():
     assert "[1]" in str(info.value)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("seed", "abc"),
+    ("seed", True),
+    ("seed", 1.5),
+    ("num_firms", 10.0),
+    ("lipschitz_pairs", 1e4),
+    ("demand_q", "x"),
+    ("demand_q", float("inf")),
+    ("demand_slope", float("nan")),
+    ("demand_sd", True),
+    ("cap_mean", None),
+    ("cost_floor", 10**400),
+    ("allow_nonmonotone", 1),
+    ("graph", 3),
+    ("graph_p", "0.5"),
+    ("participation", 5),
+    ("participation", [5]),
+    ("participation", [[0, "1"]]),
+    ("participation", [[0, True]]),
+])
+def test_config_type_errors_name_the_field(field, value):
+    with pytest.raises(ConfigurationError) as info:
+        CournotConfig(**{field: value})
+    assert info.value.field == field
+
+
+def test_config_accepts_json_shaped_settings():
+    cfg = CournotConfig(
+        num_firms=2, num_markets=1, participation=[[0], [0]], demand_q=400, graph_p=None
+    )
+    assert cfg.participation == ((0,), (0,))
+    assert CournotConfig(graph="erdos-renyi", graph_p=1).graph_p == 1
+    with pytest.raises(ConfigurationError) as info:
+        CournotConfig(seed=-1)
+    assert info.value.field == "seed"
+
+
 def test_default_benchmark_shape():
     problem, oracle, graph = generate()
     part = problem.partition
@@ -85,7 +121,9 @@ def test_default_benchmark_shape():
         for j in row:
             counts[j] += 1
     assert counts == [4, 2, 4, 3, 3, 3, 3]
-    assert all(oracle.dim(i) == part.dims[i] for i in range(10))
+    u = np.full(part.total_dim, 10.0)
+    rng = np.random.default_rng(0)
+    assert all(oracle.sample_mean(i, u, 3, rng).shape == (part.dims[i],) for i in range(10))
 
 
 def test_generate_is_deterministic():
@@ -178,49 +216,39 @@ def test_slope_noise_is_truncated():
 def test_row_evaluation_matches_single_points():
     problem, oracle, _ = generate(CournotConfig(seed=1))
     layout = oracle._layout
+    part = problem.partition
     rng = np.random.default_rng(4)
-    pts = rng.uniform(0.0, 300.0, size=(16, problem.partition.total_dim))
+    # negative entries exercise the clamp of the market totals
+    pts = rng.uniform(-50.0, 300.0, size=(16, part.total_dim))
     e = 1.2
-    for i in range(problem.partition.num_agents):
-        own_rows, factor_rows = layout.firm_terms_many(i, pts, e)
-        for t in range(pts.shape[0]):
+    rows = layout.slope_factor(pts, e)
+    assert rows.shape == pts.shape and rows.flags.c_contiguous
+    gradients = oracle.mean_gradient(pts)
+    for t in range(pts.shape[0]):
+        single = layout.slope_factor(pts[t], e)
+        assert np.array_equal(single, rows[t])
+        assert np.array_equal(gradients[t], problem.stacked_gradient(pts[t]))
+        for i in range(part.num_agents):
             own, factor = layout.firm_terms(i, pts[t], e)
-            assert np.array_equal(own, own_rows[t])
-            assert np.array_equal(factor, factor_rows[t])
+            assert np.array_equal(own, pts[t, part.primal_slice(i)])
+            assert np.array_equal(factor, single[part.primal_slice(i)])
 
 
 def test_lipschitz_probe_row_path_matches_loop():
     problem, _, _ = generate(CournotConfig(seed=0, lipschitz_pairs=64))
-    part = problem.partition
 
-    def gradient_many(pts):
-        out = np.empty_like(pts)
-        for t in range(pts.shape[0]):
-            for i in range(part.num_agents):
-                out[t, part.primal_slice(i)] = problem.gradient(i, pts[t])
-        return out
+    def looped(pts):
+        return np.array([problem.stacked_gradient(p) for p in pts])
 
-    fast = estimate_lipschitz(problem, seed=0, pairs=64, gradient_many=gradient_many)
-    slow = estimate_lipschitz(problem, seed=0, pairs=64)
-    assert fast == slow
-    assert problem.lipschitz_ell == pytest.approx(slow, rel=1e-12)
+    slow = estimate_lipschitz(looped, problem.lo_stack, problem.hi_stack, seed=0, pairs=64)
+    assert problem.lipschitz_ell == slow
 
 
 def test_lipschitz_probe_rejects_constant_gradient():
-    from gnes.operators import GameProblem
-
-    part = AgentPartition((1,), 1)
-    flat = GameProblem(
-        partition=part,
-        grad_f=(lambda u: np.array([0.5]),),
-        D=(np.array([[1.0]]),),
-        b=(np.array([1.0]),),
-        box_lo=(np.zeros(1),),
-        box_hi=(np.ones(1),),
-        lipschitz_ell=1.0,
-    )
     with pytest.raises(ConfigurationError):
-        estimate_lipschitz(flat, seed=0, pairs=10)
+        estimate_lipschitz(
+            lambda pts: np.full_like(pts, 0.5), np.zeros(1), np.ones(1), seed=0, pairs=10
+        )
 
 
 def test_stacked_sampling_matches_per_firm_path():

@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from gnes.blockvec import AgentPartition, BlockVector
 from gnes.errors import ConfigurationError
-from gnes.graph import (
-    apply_laplacian,
-    build_graph,
-    generate_graph,
-    laplacian_block,
-    largest_eigenvalue_psd,
-)
+from gnes.graph import CommGraph, generate_graph, laplacian_block, largest_eigenvalue_psd
 
 
 def test_ring_laplacian():
@@ -41,7 +34,7 @@ def test_complete_graph():
 
 
 def test_two_node_path_spectrum():
-    g = build_graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    g = CommGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert g.max_degree == 1.0
     assert g.lap_norm == pytest.approx(2.0, rel=1e-9)
 
@@ -88,17 +81,17 @@ def test_largest_eigenvalue_matches_dense_solver():
 
 def test_graph_validation():
     with pytest.raises(ConfigurationError):
-        build_graph(np.array([[0.0, 1.0], [0.5, 0.0]]))  # asymmetric
+        CommGraph(np.array([[0.0, 1.0], [0.5, 0.0]]))  # asymmetric
     with pytest.raises(ConfigurationError):
-        build_graph(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative weight
+        CommGraph(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative weight
     with pytest.raises(ConfigurationError):
-        build_graph(np.array([[1.0, 1.0], [1.0, 0.0]]))  # self loop
+        CommGraph(np.array([[1.0, 1.0], [1.0, 0.0]]))  # self loop
     with pytest.raises(ConfigurationError):
-        build_graph(np.zeros((3, 3)))  # disconnected
+        CommGraph(np.zeros((3, 3)))  # disconnected
     with pytest.raises(ConfigurationError):
-        build_graph(np.zeros((2, 3)))  # not square
+        CommGraph(np.zeros((2, 3)))  # not square
     # single agent with no edges is the one connected empty graph
-    assert build_graph(np.zeros((1, 1))).num_agents == 1
+    assert CommGraph(np.zeros((1, 1))).num_agents == 1
 
 
 def test_generator_validation():
@@ -132,25 +125,15 @@ def test_laplacian_block_out_matches_plain():
         assert np.array_equal(plain, buf)
 
 
-def test_apply_laplacian_matches_kronecker_product():
+def test_laplacian_rows_match_kronecker_product():
     rng = np.random.default_rng(9)
     for _ in range(20):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 4))
         g = generate_graph("erdos-renyi", n, p=0.6, seed=int(rng.integers(1 << 31)))
-        part = AgentPartition(tuple([1] * n), m)
-        v = BlockVector(part, rng.normal(size=n * m), "dual")
-        dense = np.kron(g.laplacian, np.eye(m)) @ v.data
-        assert np.allclose(apply_laplacian(g, v).data, dense, atol=1e-12)
-
-
-def test_apply_laplacian_validation():
-    part = AgentPartition((1, 1), 1)
-    g = generate_graph("ring", 2)
-    with pytest.raises(ConfigurationError):
-        apply_laplacian(g, BlockVector(part, np.zeros(2), "primal"))
-    with pytest.raises(ConfigurationError):
-        apply_laplacian(generate_graph("ring", 3), BlockVector(part, np.zeros(2), "dual"))
+        v = rng.normal(size=n * m)
+        dense = np.kron(g.laplacian, np.eye(m)) @ v
+        assert np.allclose(g.laplacian_rows(v.reshape(n, m)).ravel(), dense, atol=1e-12)
 
 
 def test_laplacian_rows_match_the_agent_kernel_exactly():
@@ -162,7 +145,7 @@ def test_laplacian_rows_match_the_agent_kernel_exactly():
     ]
     for g in graphs:
         w = g.weights * rng.uniform(0.5, 2.0, size=g.weights.shape)
-        g = build_graph(w + w.T)
+        g = CommGraph(w + w.T)
         vals = rng.normal(size=(g.num_agents, 3))
         rows = g.laplacian_rows(vals)
         assert np.allclose(rows, g.laplacian @ vals, atol=1e-12)

@@ -5,27 +5,23 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gnes.blockvec import AgentPartition, BlockVector, Preconditioner, PrimalDualState
+from gnes.blockvec import AgentPartition, Preconditioner
 from gnes.errors import ConfigurationError, DimensionMismatchError, ToleranceError
+from gnes.graph import CommGraph
 from gnes.operators import (
     ExtendedOperator,
     GameProblem,
-    apply_F,
-    apply_V,
     kkt_check,
     proj_shared_set,
-    residual_r_psi,
     residual_res,
-    resolvent_T,
 )
+from gnes.stochastic import PHASE_XI, AdditiveGaussianOracle, AgentStreams, sample_V_hat
 
 from conftest import dykstra_projection, load_builtin, random_affine_game, random_state
 
 
 def two_agent_game():
     """F(u) = 2u - 1 on [0, 1]^2, one coupling row, single edge graph."""
-    from gnes.graph import build_graph
-
     part = AgentPartition((1, 1), 1)
     problem = GameProblem(
         partition=part,
@@ -39,7 +35,7 @@ def two_agent_game():
         box_hi=(np.ones(1), np.ones(1)),
         lipschitz_ell=2.0,
     )
-    graph = build_graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    graph = CommGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
     return problem, graph
 
 
@@ -53,26 +49,23 @@ def test_v_hand_example():
     # V_lam = b_i + (L (lam - mu))_i - D_i u_i = (0.4, -0.15)
     expected = np.array([0.3, -0.5, 0.3, -0.3, 0.4, -0.15])
     assert np.allclose(op.v_flat(x), expected, atol=1e-15)
-    state = PrimalDualState(problem.partition, x)
-    assert np.allclose(apply_V(op, state).data, expected, atol=1e-15)
 
 
-def test_v_flat_slot_buffers_reuse_and_agree():
+def test_held_estimate_survives_the_next_same_phase_call():
     problem, graph = load_builtin("affine-monotone-small")
     op = ExtendedOperator(problem, graph)
+    oracle = AdditiveGaussianOracle(problem, sd=0.1)
+    streams = AgentStreams(3)
     rng = np.random.default_rng(0)
     x = rng.normal(size=problem.partition.state_dim)
-    fresh = op.v_flat(x)
-    s0 = op.v_flat(x, slot=0)
-    s1 = op.v_flat(x, slot=1)
-    assert np.array_equal(fresh, s0)
-    assert np.array_equal(fresh, s1)
-    assert s0 is not s1
     y = rng.normal(size=problem.partition.state_dim)
-    s0_again = op.v_flat(y, slot=0)
-    # the slot result is a reused buffer, overwritten by the next call
-    assert s0_again is s0
-    assert np.array_equal(op.v_flat(y), s0_again)
+    held = sample_V_hat(op, oracle, x, 4, streams, 0, PHASE_XI)
+    kept = held.copy()
+    later = sample_V_hat(op, oracle, y, 4, streams, 1, PHASE_XI)
+    assert later is not held
+    assert np.array_equal(held, kept)
+    # and the held estimate is still the one drawn at x
+    assert np.array_equal(held, sample_V_hat(op, oracle, x, 4, AgentStreams(3), 0, PHASE_XI))
 
 
 def test_v_matches_dense_kronecker_assembly():
@@ -134,8 +127,6 @@ def test_resolvent_blocks():
     out = op.resolvent_flat(x, psi)
     # box clip on u, identity on mu, positive part on lambda
     assert np.array_equal(out, [1.0, 0.0, 0.7, -0.7, 0.4, 0.0])
-    state = resolvent_T(op, PrimalDualState(problem.partition, x), psi)
-    assert np.array_equal(state.data, out)
 
 
 def test_resolvent_is_firmly_nonexpansive(monotone_small):
@@ -163,10 +154,8 @@ def test_r_psi_zero_exactly_at_fixed_points(tiny):
     part = problem.partition
     psi = Preconditioner.uniform(part, 0.3)
     # u* = 0.25 with lambda* = 0.05 solves the coupled game
-    x = PrimalDualState(part, np.array([0.25, 0.05, 0.05]))
-    assert residual_r_psi(op, x, psi) < 1e-12
-    y = PrimalDualState(part, np.array([0.9, 0.0, 0.0]))
-    assert residual_r_psi(op, y, psi) > 1e-3
+    assert op.r_psi_flat(np.array([0.25, 0.05, 0.05]), psi) < 1e-12
+    assert op.r_psi_flat(np.array([0.9, 0.0, 0.0]), psi) > 1e-3
 
 
 def test_projection_hand_example():
@@ -343,14 +332,17 @@ def test_kkt_check_rejects_non_solutions(tiny):
         kkt_check(problem, np.array([0.25]), np.array([0.05, 0.0]))
 
 
-def test_apply_F_stacks_gradients(monotone_small):
-    problem, _ = monotone_small
+def test_stacked_gradient_stacks_agent_gradients(monotone_small):
+    problem, graph = monotone_small
     part = problem.partition
     rng = np.random.default_rng(4)
     u = rng.normal(size=part.total_dim)
-    out = apply_F(problem, BlockVector(part, u, "primal"))
+    out = problem.stacked_gradient(u)
     for i in range(part.num_agents):
-        assert np.array_equal(out.block(i), problem.gradient(i, u))
+        assert np.array_equal(out[part.primal_slice(i)], problem.gradient(i, u))
+    # V's primal block is F(u) + D^T lambda: at lambda = 0 it is F(u) itself
+    x = np.concatenate([u, np.zeros(2 * part.dual_dim)])
+    assert np.array_equal(ExtendedOperator(problem, graph).v_flat(x)[: part.total_dim], out)
 
 
 def test_problem_validation_errors():

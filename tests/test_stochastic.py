@@ -16,7 +16,6 @@ from gnes.stochastic import (
     BatchSchedule,
     SamplingOracle,
     ZeroNoiseOracle,
-    batch_size,
     estimate_noise_bound,
     sample_F_hat,
     sample_V_hat,
@@ -29,7 +28,6 @@ def test_batch_schedule_values():
     s = BatchSchedule(scale=1.0, growth=1.2)
     assert s.size(0) == 1
     assert s.size(9) == 16  # ceil(10^1.2) = ceil(15.849)
-    assert batch_size(s, 9) == 16
     tiny = BatchSchedule(scale=1e-3, growth=1.2)
     assert tiny.size(0) == 1  # floor at one sample
     big = BatchSchedule(scale=2.0, growth=2.0)
