@@ -502,6 +502,7 @@ def generate(config: CournotConfig | None = None) -> tuple[GameProblem, CournotD
         box_hi=caps,
         lipschitz_ell=ell,
         interaction=tuple(interaction),
+        stacked_grad=oracle.mean_gradient,
     )
     if config.graph == "erdos-renyi":
         graph = generate_graph(config.graph, n, p=config.graph_p, seed=config.seed + 1_000_003)

@@ -15,6 +15,7 @@ lambda, are variational equilibria of the game.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,11 @@ class GameProblem:
     interaction : tuple of arrays or None
         interaction[i] lists the agents (not i) whose blocks grad_f[i]
         reads. None means everyone interacts with everyone.
+    stacked_grad : callable or None
+        Optional vectorised F, set by an instance builder: maps u to
+        the stacked gradient, shape (total_dim,), with the floats of
+        the per-agent grad_f in their blocks. None assembles F from
+        grad_f agent by agent.
     """
 
     partition: AgentPartition
@@ -72,6 +78,7 @@ class GameProblem:
     lipschitz_ell: float
     prox_g: tuple | None = None
     interaction: tuple | None = None
+    stacked_grad: Callable[[np.ndarray], np.ndarray] | None = None
     d_norm: float = field(init=False)
 
     def __post_init__(self):
@@ -171,11 +178,28 @@ class GameProblem:
         return g
 
     def stacked_gradient(self, u: np.ndarray) -> np.ndarray:
-        """Pseudogradient F(u), every agent's partial gradient in its block."""
+        """Pseudogradient F(u), every agent's partial gradient in its block.
+
+        Errors are those of gradient: a non-finite block raises
+        NumericError naming its agent.
+        """
         part = self.partition
-        out = np.empty(part.total_dim)
-        for i in range(part.num_agents):
-            out[part.primal_slice(i)] = self.gradient(i, u)
+        if self.stacked_grad is None:
+            out = np.empty(part.total_dim)
+            for i in range(part.num_agents):
+                out[part.primal_slice(i)] = self.gradient(i, u)
+            return out
+        out = np.asarray(self.stacked_grad(u), dtype=np.float64)
+        if out.shape != (part.total_dim,):
+            raise DimensionMismatchError(
+                f"stacked gradient has shape {out.shape}", block="stacked_grad"
+            )
+        # a bad entry propagates through the sum; its block is located
+        # only on failure (an overflowing sum of finite entries passes)
+        if not math.isfinite(float(out.sum())):
+            for i, sl in enumerate(part.primal_slices):
+                if not np.all(np.isfinite(out[sl])):
+                    raise NumericError("gradient evaluation produced a non-finite value", agent=i)
         return out
 
 

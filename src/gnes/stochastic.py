@@ -27,7 +27,6 @@ __all__ = [
     "AdditiveGaussianOracle",
     "sample_F_hat",
     "sample_V_hat",
-    "estimate_noise_bound",
 ]
 
 PHASE_XI = 0
@@ -162,6 +161,11 @@ class ZeroNoiseOracle(SamplingOracle):
         # exact: the average of identical rows is the row itself
         return self.problem.gradient(agent, u)
 
+    def sample_mean_stack(self, u, size, streams, iteration, phase, out, partition):
+        # F(u) in one call, with the floats of the per-agent loop; no
+        # stream is keyed, since nothing is drawn
+        out[...] = self.problem.stacked_gradient(u)
+
 
 class AdditiveGaussianOracle(SamplingOracle):
     """Deterministic gradient plus iid N(0, sd^2 I) noise per draw."""
@@ -233,34 +237,3 @@ def sample_V_hat(
     fvals = sample_F_hat(oracle, x[: part.total_dim], size, streams, iteration, phase, part)
     return op.v_flat(x, fvals)
 
-
-def estimate_noise_bound(
-    oracle: SamplingOracle,
-    problem,
-    seed: int,
-    points: int = 10,
-    draws: int = 200,
-) -> float:
-    """Empirical bound sigma with E||F_hat - F||^2 <= sigma^2 at batch one.
-
-    Samples box points, measures the mean squared single-draw error,
-    and reports the square root of the largest value seen. Useful for
-    reporting when no closed-form bound exists.
-    """
-    part = problem.partition
-    rng = np.random.default_rng(seed)
-    streams = AgentStreams(seed)
-    worst = 0.0
-    lo, hi = problem.lo_stack, problem.hi_stack
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ConfigurationError("noise estimation needs finite boxes", field="box")
-    for t in range(points):
-        u = lo + (hi - lo) * rng.random(part.total_dim)
-        total = 0.0
-        for i in range(part.num_agents):
-            g = problem.gradient(i, u)
-            sample_rng = streams.generator(i, t, PHASE_XI)
-            batch = oracle.sample_gradient_batch(i, u, draws, sample_rng)
-            total += float(np.mean(np.sum((batch - g[None, :]) ** 2, axis=1)))
-        worst = max(worst, total)
-    return math.sqrt(worst)

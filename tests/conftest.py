@@ -1,14 +1,17 @@
 """Shared fixtures: small game instances used across the test modules."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
 from gnes.blockvec import AgentPartition
+from gnes.errors import ConfigurationError
 from gnes.graph import CommGraph
 from gnes.instances import builtin_document, load_document
 from gnes.operators import GameProblem
+from gnes.stochastic import PHASE_XI, AgentStreams
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -148,3 +151,28 @@ def dykstra_projection(problem, v, tol=1e-13, max_sweeps=200_000):
         if float(np.linalg.norm(x - x_prev)) + shifted < tol:
             return x
     raise AssertionError("reference projection did not converge")
+
+
+def estimate_noise_bound(oracle, problem, seed, points=10, draws=200):
+    """Empirical sigma with E||F_hat - F||^2 <= sigma^2 at batch one.
+
+    Samples box points, measures the mean squared single-draw error of
+    oracle.sample_gradient_batch, and reports the square root of the
+    largest value seen.
+    """
+    part = problem.partition
+    rng = np.random.default_rng(seed)
+    streams = AgentStreams(seed)
+    worst = 0.0
+    lo, hi = problem.lo_stack, problem.hi_stack
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ConfigurationError("noise estimation needs finite boxes", field="box")
+    for t in range(points):
+        u = lo + (hi - lo) * rng.random(part.total_dim)
+        total = 0.0
+        for i in range(part.num_agents):
+            g = problem.gradient(i, u)
+            batch = oracle.sample_gradient_batch(i, u, draws, streams.generator(i, t, PHASE_XI))
+            total += float(np.mean(np.sum((batch - g[None, :]) ** 2, axis=1)))
+        worst = max(worst, total)
+    return math.sqrt(worst)

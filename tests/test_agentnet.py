@@ -68,10 +68,19 @@ def test_network_matches_monolithic_on_random_affine_games(dims, m, game_seed, r
             assert t_mono.state_hash == t_net.state_hash, variant
 
 
-def test_network_matches_on_cournot_market():
+@pytest.mark.parametrize("noise,variant", [
+    ("demand", "risfbf"),
+    ("zero", "sfbf"),
+    ("zero", "risfbf"),
+], ids=["demand-risfbf", "zero-sfbf", "zero-risfbf"])
+def test_network_matches_on_cournot_market(noise, variant):
+    # noise-free, the single process assembles F(u) with the stacked
+    # kernel while the agent nodes call the per-firm gradients
     problem, oracle, graph = generate(CournotConfig(seed=0))
+    if noise == "zero":
+        oracle = ZeroNoiseOracle(problem)
     params = SolverParams(
-        variant="risfbf", alpha_bar=0.1, max_iters=40, tol=0.0,
+        variant=variant, alpha_bar=0.1, max_iters=40, tol=0.0,
         batch=BatchSchedule(1.0, 1.2),
     )
     s_mono, t_mono = run(problem, graph, oracle, params, seed=2)

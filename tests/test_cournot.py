@@ -227,7 +227,9 @@ def test_row_evaluation_matches_single_points():
     for t in range(pts.shape[0]):
         single = layout.slope_factor(pts[t], e)
         assert np.array_equal(single, rows[t])
-        assert np.array_equal(gradients[t], problem.stacked_gradient(pts[t]))
+        per_firm = np.concatenate([problem.gradient(i, pts[t]) for i in range(part.num_agents)])
+        assert np.array_equal(gradients[t], per_firm)
+        assert np.array_equal(problem.stacked_gradient(pts[t]), per_firm)
         for i in range(part.num_agents):
             own, factor = layout.firm_terms(i, pts[t], e)
             assert np.array_equal(own, pts[t, part.primal_slice(i)])
@@ -236,9 +238,10 @@ def test_row_evaluation_matches_single_points():
 
 def test_lipschitz_probe_row_path_matches_loop():
     problem, _, _ = generate(CournotConfig(seed=0, lipschitz_pairs=64))
+    n = problem.num_agents
 
     def looped(pts):
-        return np.array([problem.stacked_gradient(p) for p in pts])
+        return np.array([np.concatenate([problem.gradient(i, p) for i in range(n)]) for p in pts])
 
     slow = estimate_lipschitz(looped, problem.lo_stack, problem.hi_stack, seed=0, pairs=64)
     assert problem.lipschitz_ell == slow

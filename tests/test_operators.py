@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gnes.blockvec import AgentPartition, Preconditioner
-from gnes.errors import ConfigurationError, DimensionMismatchError, ToleranceError
+from gnes.errors import ConfigurationError, DimensionMismatchError, NumericError, ToleranceError
 from gnes.graph import CommGraph
 from gnes.operators import (
     ExtendedOperator,
@@ -343,6 +343,31 @@ def test_stacked_gradient_stacks_agent_gradients(monotone_small):
     # V's primal block is F(u) + D^T lambda: at lambda = 0 it is F(u) itself
     x = np.concatenate([u, np.zeros(2 * part.dual_dim)])
     assert np.array_equal(ExtendedOperator(problem, graph).v_flat(x)[: part.total_dim], out)
+
+
+def test_stacked_kernel_errors_match_the_agent_loop(monotone_small):
+    problem, _ = monotone_small
+    part = problem.partition
+    u = np.linspace(-1.0, 1.0, part.total_dim)
+    loop = problem.stacked_gradient(u)
+
+    def poisoned(v):
+        out = loop.copy()
+        out[part.primal_slice(2).start] = np.nan
+        return out
+
+    assert np.array_equal(dataclasses.replace(problem, stacked_grad=lambda v: loop).stacked_gradient(u), loop)
+    with pytest.raises(NumericError) as info:
+        dataclasses.replace(problem, stacked_grad=poisoned).stacked_gradient(u)
+    assert info.value.agent == 2
+    short = dataclasses.replace(problem, stacked_grad=lambda v: loop[:-1])
+    with pytest.raises(DimensionMismatchError):
+        short.stacked_gradient(u)
+    # finite entries whose sum overflows are not an error, as in the loop
+    huge = np.full(part.total_dim, 1e308)
+    with np.errstate(over="ignore"):
+        got = dataclasses.replace(problem, stacked_grad=lambda v: huge).stacked_gradient(u)
+    assert np.array_equal(got, huge)
 
 
 def test_problem_validation_errors():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gnes.blockvec import AgentPartition
+from gnes.cournot import CournotConfig, generate
 from gnes.errors import ConfigurationError, NumericError
 from gnes.operators import ExtendedOperator
 from gnes.stochastic import (
@@ -16,12 +17,11 @@ from gnes.stochastic import (
     BatchSchedule,
     SamplingOracle,
     ZeroNoiseOracle,
-    estimate_noise_bound,
     sample_F_hat,
     sample_V_hat,
 )
 
-from conftest import load_builtin
+from conftest import estimate_noise_bound, load_builtin
 
 
 def test_batch_schedule_values():
@@ -100,6 +100,32 @@ def test_zero_noise_oracle_is_exact():
         assert np.array_equal(oracle.sample_mean(i, u, 64, rng), g)
         batch = oracle.sample_gradient_batch(i, u, 3, rng)
         assert np.array_equal(batch, np.tile(g, (3, 1)))
+
+
+class _NoStreams:
+    """Streams stub for oracles that must draw nothing."""
+
+    def generator(self, agent, iteration, phase):
+        raise AssertionError(f"stream of agent {agent} was keyed")
+
+
+@pytest.mark.parametrize("instance", ["cournot-market", "affine-monotone-small"])
+def test_zero_noise_stack_is_the_agent_loop_and_keys_no_stream(instance):
+    if instance == "cournot-market":
+        problem, _, _ = generate(CournotConfig(seed=0))
+    else:
+        problem, _ = load_builtin(instance)
+    part = problem.partition
+    oracle = ZeroNoiseOracle(problem)
+    rng = np.random.default_rng(6)
+    out = np.empty(part.total_dim)
+    expected = np.empty(part.total_dim)
+    for k in range(8):
+        u = rng.uniform(-1.0, 200.0, part.total_dim)
+        oracle.sample_mean_stack(u, 7, _NoStreams(), k, PHASE_ETA, out, part)
+        SamplingOracle.sample_mean_stack(oracle, u, 7, AgentStreams(1), k, PHASE_ETA, expected, part)
+        assert np.array_equal(out, expected), k
+        assert np.array_equal(sample_F_hat(oracle, u, 7, _NoStreams(), k, PHASE_ETA, part), expected)
 
 
 def test_default_sample_mean_is_row_average():
