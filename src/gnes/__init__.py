@@ -8,7 +8,7 @@ bitwise. See the solver module for the iteration, agentnet for the
 distributed form, and cournot for the benchmark market game.
 """
 
-from .blockvec import AgentPartition, BlockVector, Preconditioner, PrimalDualState
+from .blockvec import AgentPartition, Preconditioner, PrimalDualState
 from .cournot import CournotConfig, generate
 from .errors import (
     ConfigurationError,
@@ -39,7 +39,6 @@ from .stochastic import (
 
 __all__ = [
     "AgentPartition",
-    "BlockVector",
     "Preconditioner",
     "PrimalDualState",
     "CournotConfig",

@@ -3,11 +3,15 @@
 Every iteration is a fixed sequence of synchronous rounds. Agents hold
 only their own blocks of the state, their own cost sampler and
 constraint data, and their incident edges; anything else they use has
-to arrive as a message through the exchange. The arithmetic inside each
-agent reproduces, expression by expression, what the single-process
-runner does on the stacked arrays, and every sum is accumulated in the
-same term order (OrderedRows, laplacian_block), so the two executors
-produce bit-identical trajectories and traces.
+to arrive as a message through the exchange. The operator value V is
+F plus one sparse affine map A x + c (operators.ExtendedOperator). An
+agent node evaluates its own rows of A on a local vector of its own
+blocks and the multiplier blocks its graph neighbours sent, with the
+columns kept in ascending global order; A is an OrderedRows, so those
+rows give the single-process runner's floats by construction. The rest
+of a node's arithmetic repeats the runner's elementwise expressions on
+the node's rows, so the two executors produce bit-identical
+trajectories and traces.
 
 Messages come in two kinds. A "strategy" message carries one agent's
 decision block to the agents whose costs depend on it (the interaction
@@ -24,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockvec import AgentPartition, OrderedRows, Preconditioner, PrimalDualState
+from .blockvec import Preconditioner, PrimalDualState
 from .errors import ConfigurationError, GnesError, NumericError
-from .graph import CommGraph, laplacian_block
+from .graph import CommGraph
 from .operators import ExtendedOperator, GameProblem
 from .solver import (
     SolverParams,
@@ -59,9 +63,12 @@ class Exchange:
 
     Strategy messages travel only along interaction edges (agent j may
     receive agent i's block only when i appears in j's interaction
-    list) and dual messages only along communication graph edges.
-    Attempting any other delivery raises. The bus counts traffic per
-    kind; with audit=True it also keeps the metadata of every message.
+    list) and dual messages only along communication graph edges. The
+    links are fixed at construction: broadcast hands one payload to
+    every declared receiver of its sender, and post delivers a single
+    Message after checking its link, raising for any other delivery.
+    The bus counts traffic per kind; with audit=True it also keeps the
+    metadata of every delivery.
     """
 
     def __init__(
@@ -74,46 +81,43 @@ class Exchange:
         recv: list[list[int]] = [[] for _ in range(n)]
         for j in range(n):
             for i in interaction[j]:
+                if not (0 <= int(i) < n and int(i) != j):
+                    raise ConfigurationError(
+                        f"interaction list of agent {j} must name other agents", field="exchange"
+                    )
                 recv[int(i)].append(j)
-        self.strategy_receivers = tuple(
-            np.array(sorted(r), dtype=np.int64) for r in recv
-        )
-        self.dual_receivers = graph.neighbors
-        self._strategy_ok = tuple(set(int(j) for j in r) for r in self.strategy_receivers)
-        self._dual_ok = tuple(set(int(j) for j in r) for r in self.dual_receivers)
+        self.receivers = {
+            "strategy": tuple(tuple(sorted(r)) for r in recv),
+            "dual": tuple(tuple(int(j) for j in r) for r in graph.neighbors),
+        }
+        self._links = {kind: tuple(map(frozenset, rs)) for kind, rs in self.receivers.items()}
         self._inboxes: list[dict] = [{} for _ in range(n)]
         self.sent = {"strategy": 0, "dual": 0}
         self.log: list[tuple] | None = [] if audit else None
 
     def post(self, msg: Message):
-        allowed = self._strategy_ok if msg.kind == "strategy" else self._dual_ok
-        if msg.receiver not in allowed[msg.sender]:
+        links = self._links.get(msg.kind)
+        if links is None or not 0 <= msg.sender < len(links) or msg.receiver not in links[msg.sender]:
             raise ConfigurationError(
                 f"{msg.kind} message from agent {msg.sender} to agent {msg.receiver} "
                 "is outside the declared links",
                 field="exchange",
             )
-        self.sent[msg.kind] += 1
+        self._deliver(msg.sender, (msg.receiver,), msg.kind, msg.iteration, msg.phase, msg.payload)
+
+    def broadcast(self, sender: int, kind: str, k: int, phase: int, payload: tuple):
+        """Deliver one payload to every declared receiver of sender's kind of message."""
+        self._deliver(sender, self.receivers[kind][sender], kind, k, phase, payload)
+
+    def _deliver(self, sender: int, receivers: tuple, kind: str, k: int, phase: int, payload: tuple):
+        self.sent[kind] += len(receivers)
         if self.log is not None:
-            self.log.append(
-                (
-                    msg.iteration,
-                    msg.phase,
-                    msg.kind,
-                    msg.sender,
-                    msg.receiver,
-                    int(sum(p.size for p in msg.payload)),
-                )
-            )
-        self._inboxes[msg.receiver][(msg.kind, msg.sender)] = msg.payload
-
-    def broadcast_strategy(self, sender: int, k: int, phase: int, block: np.ndarray):
-        for j in self.strategy_receivers[sender]:
-            self.post(Message(sender, int(j), "strategy", k, phase, (block,)))
-
-    def broadcast_dual(self, sender: int, k: int, phase: int, lam: np.ndarray, mu: np.ndarray):
-        for j in self.dual_receivers[sender]:
-            self.post(Message(sender, int(j), "dual", k, phase, (lam, mu)))
+            size = int(sum(p.size for p in payload))
+            self.log.extend((k, phase, kind, sender, j, size) for j in receivers)
+        key = (kind, sender)
+        inboxes = self._inboxes
+        for j in receivers:
+            inboxes[j][key] = payload
 
     def collect(self, receiver: int) -> dict:
         box = self._inboxes[receiver]
@@ -124,167 +128,140 @@ class Exchange:
 class AgentNode:
     """One participant of the networked run.
 
-    Holds the agent's own state blocks, its constraint matrix and
-    right-hand side, its box (or prox), its step sizes, its incident
-    edge weights, and its own sampling streams. Remote values enter
-    exclusively through the inbox argument of the round methods.
+    Holds the agent's own state as one vector [u_i | mu_i | lambda_i]
+    (rows, its positions in the flat state), its rows of the operator's
+    affine part, which carry only D_i, b_i and its incident edge
+    weights, its box (or prox), its step sizes, and its own sampling
+    streams. Remote values enter exclusively through the inbox argument
+    of the round methods.
     """
 
     def __init__(
         self,
         index: int,
-        partition: AgentPartition,
-        problem: GameProblem,
-        graph: CommGraph,
+        op: ExtendedOperator,
         oracle: SamplingOracle,
         psi: Preconditioner,
         seed: int,
     ):
+        problem = op.problem
+        part = problem.partition
         i = index
+        m = part.constraint_dim
+        d = part.total_dim
+        nm = part.dual_dim
+        dim = part.dims[i]
+        own = part.primal_slices[i]
+        within = np.arange(m)
         self.index = i
-        self.partition = partition
-        self.m = partition.constraint_dim
-        self.dim = partition.dims[i]
-        self.pull = OrderedRows.from_dense(problem.D[i].T)
-        self.push = OrderedRows.from_dense(problem.D[i])
-        self.b = problem.b[i]
+        self.dim = dim
+        self.rows = np.concatenate(
+            (np.arange(own.start, own.stop), d + i * m + within, d + nm + i * m + within)
+        )
+        # local columns: own u, then mu and lambda of self and neighbours,
+        # all in ascending global order
+        peers = np.union1d(op.graph.neighbors[i], [i])
+        dual_at = (peers[:, None] * m + within).ravel()
+        cols = np.concatenate((np.arange(own.start, own.stop), d + dual_at, d + nm + dual_at))
+        self.kernel = op.affine.restrict(self.rows, cols)
+        self.offset = op.offset[self.rows]
+        self.steps = psi.inv_weights[self.rows]
+        # where the own and the received blocks go in the local vector
+        self._local = np.empty(cols.size)
+        k = peers.size
+        mu_at = [slice(dim + p * m, dim + (p + 1) * m) for p in range(k)]
+        lam_at = [slice(dim + (k + p) * m, dim + (k + p + 1) * m) for p in range(k)]
+        me = int(np.searchsorted(peers, i))
+        self._own_at = np.r_[0:dim, mu_at[me], lam_at[me]]
+        self._dual_slots = tuple(
+            (("dual", int(j)), lam_at[p], mu_at[p]) for p, j in enumerate(peers) if j != i
+        )
+        # the decision profile the oracle reads: own and partners' blocks,
+        # zeros elsewhere
+        self._profile = np.zeros(d)
+        self._own = own
+        self._strategy_slots = tuple(
+            (("strategy", int(j)), part.primal_slices[int(j)]) for j in problem.interaction[i]
+        )
+        self._lam = slice(dim + m, None)
+        self.gamma = float(psi.gamma[i])
         self.prox_fn = problem.prox_g[i] if problem.has_custom_prox else None
         self.lo = problem.box_lo[i]
         self.hi = problem.box_hi[i]
-        self.interaction = problem.interaction[i]
-        self.neighbors = graph.neighbors[i]
-        self.neighbor_weights = graph.neighbor_weights[i]
-        self.degree = graph.degrees[i]
-        self.gamma = float(psi.gamma[i])
-        self.sigma = float(psi.sigma[i])
-        self.tau = float(psi.tau[i])
         self.oracle = oracle
         self.streams = AgentStreams(seed)
-        # own blocks and per-iteration intermediates
-        self.x_u = np.zeros(self.dim)
-        self.x_mu = np.zeros(self.m)
-        self.x_lam = np.zeros(self.m)
-        self.xp_u = self.x_u.copy()
-        self.xp_mu = self.x_mu.copy()
-        self.xp_lam = self.x_lam.copy()
-        self.z_u = self.z_mu = self.z_lam = None
-        self.y_u = self.y_mu = self.y_lam = None
-        self.a_u = self.a_mu = self.a_lam = None
+        self.x = self.xp = self.z = self.y = self.a = None
 
-    def load_state(self, u: np.ndarray, mu: np.ndarray, lam: np.ndarray):
-        self.x_u = u.copy()
-        self.x_mu = mu.copy()
-        self.x_lam = lam.copy()
-        self.xp_u = u.copy()
-        self.xp_mu = mu.copy()
-        self.xp_lam = lam.copy()
+    def load_state(self, x: np.ndarray):
+        """Start from this agent's rows of a flat state."""
+        self.x = self.xp = np.array(x, dtype=np.float64)
+
+    def blocks(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of the u, mu and lambda blocks of one of this agent's vectors."""
+        dim = self.dim
+        return v[:dim], v[dim : self._lam.start], v[self._lam]
 
     # -- shared pieces -------------------------------------------------
 
-    def _estimate_gradient(self, point_u: np.ndarray, inbox: dict, k: int, phase: int, size: int) -> np.ndarray:
-        """Mini-batch cost gradient at the exchanged decision profile."""
-        part = self.partition
-        u_buf = np.zeros(part.total_dim)
-        u_buf[part.primal_slice(self.index)] = point_u
-        for j in self.interaction:
-            u_buf[part.primal_slice(int(j))] = inbox[("strategy", int(j))][0]
-        rng = self.streams.generator(self.index, k, phase)
-        est = self.oracle.sample_mean(self.index, u_buf, size, rng)
+    def operator_value(self, point: np.ndarray, inbox: dict, k: int, phase: int, size: int) -> np.ndarray:
+        """This agent's rows of the sampled operator value at point and the received blocks."""
+        profile = self._profile
+        profile[self._own] = point[: self.dim]
+        for key, at in self._strategy_slots:
+            profile[at] = inbox[key][0]
+        rng = self.streams.generator(self.index, k, phase) if self.oracle.draws else None
+        fhat = self.oracle.sample_mean(self.index, profile, size, rng)
         # a non-finite entry propagates through the sum
-        if not math.isfinite(float(est.sum())):
+        if not math.isfinite(float(fhat.sum())):
             raise NumericError("stochastic gradient estimate is non-finite", agent=self.index)
-        return est
+        local = self._local
+        local[self._own_at] = point
+        for key, lam_at, mu_at in self._dual_slots:
+            lam, mu = inbox[key]
+            local[lam_at] = lam
+            local[mu_at] = mu
+        v = self.kernel(local)
+        v += self.offset
+        v[: self.dim] += fhat
+        return v
 
-    def _operator_blocks(
-        self,
-        point_u: np.ndarray,
-        point_mu: np.ndarray,
-        point_lam: np.ndarray,
-        inbox: dict,
-        k: int,
-        phase: int,
-        size: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """This agent's three blocks of the sampled operator value."""
-        fhat = self._estimate_gradient(point_u, inbox, k, phase, size)
-        nbrs = self.neighbors
-        if nbrs.size:
-            lam_rows = np.stack([inbox[("dual", int(j))][0] for j in nbrs])
-            mu_rows = np.stack([inbox[("dual", int(j))][1] for j in nbrs])
-            diff_rows = lam_rows - mu_rows
-        else:
-            lam_rows = np.zeros((0, self.m))
-            diff_rows = np.zeros((0, self.m))
-        v_u = fhat + self.pull(point_lam)
-        v_mu = laplacian_block(self.degree, self.neighbor_weights, point_lam, lam_rows)
-        v_lam = (
-            self.b
-            + laplacian_block(
-                self.degree, self.neighbor_weights, point_lam - point_mu, diff_rows
-            )
-        ) - self.push(point_u)
-        return v_u, v_mu, v_lam
-
-    def _prox(self, v: np.ndarray) -> np.ndarray:
+    def _resolvent(self, v: np.ndarray) -> np.ndarray:
+        """Prox (box clip by default) on u, identity on mu, clamp at zero on lambda; in place."""
+        u = v[: self.dim]
         if self.prox_fn is not None:
-            return self.prox_fn(v, self.gamma)
-        return np.clip(v, self.lo, self.hi)
+            u[...] = self.prox_fn(u, self.gamma)
+        else:
+            np.clip(u, self.lo, self.hi, out=u)
+        lam = v[self._lam]
+        np.maximum(lam, 0.0, out=lam)
+        return v
+
+    def post(self, bus: Exchange, k: int, phase: int, u: np.ndarray, mu: np.ndarray, lam: np.ndarray):
+        """Send u to the interaction partners and (lambda, mu) to the graph neighbours."""
+        bus.broadcast(self.index, "strategy", k, phase, (u,))
+        bus.broadcast(self.index, "dual", k, phase, (lam, mu))
 
     # -- inertial forward-backward-forward rounds ----------------------
 
     def extrapolate(self, alpha: float):
-        self.z_u = self.x_u + alpha * (self.x_u - self.xp_u)
-        self.z_mu = self.x_mu + alpha * (self.x_mu - self.xp_mu)
-        self.z_lam = self.x_lam + alpha * (self.x_lam - self.xp_lam)
-
-    def post_z(self, bus: Exchange, k: int):
-        bus.broadcast_strategy(self.index, k, PHASE_XI, self.z_u)
-
-    def post_z_dual(self, bus: Exchange, k: int):
-        bus.broadcast_dual(self.index, k, PHASE_XI, self.z_lam, self.z_mu)
+        self.z = self.x + alpha * (self.x - self.xp)
 
     def forward_backward(self, inbox: dict, k: int, size: int):
-        self.a_u, self.a_mu, self.a_lam = self._operator_blocks(
-            self.z_u, self.z_mu, self.z_lam, inbox, k, PHASE_XI, size
-        )
-        self.y_u = self._prox(self.z_u - self.gamma * self.a_u)
-        self.y_mu = self.z_mu - self.sigma * self.a_mu
-        self.y_lam = np.maximum(self.z_lam - self.tau * self.a_lam, 0.0)
-
-    def post_y(self, bus: Exchange, k: int):
-        bus.broadcast_strategy(self.index, k, PHASE_ETA, self.y_u)
-
-    def post_y_dual(self, bus: Exchange, k: int):
-        bus.broadcast_dual(self.index, k, PHASE_ETA, self.y_lam, self.y_mu)
+        self.a = self.operator_value(self.z, inbox, k, PHASE_XI, size)
+        self.y = self._resolvent(self.z - self.steps * self.a)
 
     def correct_and_relax(self, inbox: dict, k: int, size: int, rho: float):
-        b_u, b_mu, b_lam = self._operator_blocks(
-            self.y_u, self.y_mu, self.y_lam, inbox, k, PHASE_ETA, size
-        )
-        r_u = self.y_u + self.gamma * (self.a_u - b_u)
-        r_mu = self.y_mu + self.sigma * (self.a_mu - b_mu)
-        r_lam = self.y_lam + self.tau * (self.a_lam - b_lam)
-        self.xp_u, self.xp_mu, self.xp_lam = self.x_u, self.x_mu, self.x_lam
-        self.x_u = (1.0 - rho) * self.z_u + rho * r_u
-        self.x_mu = (1.0 - rho) * self.z_mu + rho * r_mu
-        self.x_lam = (1.0 - rho) * self.z_lam + rho * r_lam
+        b = self.operator_value(self.y, inbox, k, PHASE_ETA, size)
+        r = self.y + self.steps * (self.a - b)
+        self.xp = self.x
+        self.x = (1.0 - rho) * self.z + rho * r
 
     # -- plain forward-backward rounds ----------------------------------
 
-    def post_x(self, bus: Exchange, k: int):
-        bus.broadcast_strategy(self.index, k, PHASE_XI, self.x_u)
-
-    def post_x_dual(self, bus: Exchange, k: int):
-        bus.broadcast_dual(self.index, k, PHASE_XI, self.x_lam, self.x_mu)
-
     def fb_update(self, inbox: dict, k: int, size: int):
-        a_u, a_mu, a_lam = self._operator_blocks(
-            self.x_u, self.x_mu, self.x_lam, inbox, k, PHASE_XI, size
-        )
-        self.xp_u, self.xp_mu, self.xp_lam = self.x_u, self.x_mu, self.x_lam
-        self.x_u = self._prox(self.x_u - self.gamma * a_u)
-        self.x_mu = self.x_mu - self.sigma * a_mu
-        self.x_lam = np.maximum(self.x_lam - self.tau * a_lam, 0.0)
+        a = self.operator_value(self.x, inbox, k, PHASE_XI, size)
+        self.xp = self.x
+        self.x = self._resolvent(self.x - self.steps * a)
 
 
 @dataclass
@@ -318,7 +295,9 @@ def run_distributed(
     counters (and the full metadata log when audit is set).
     """
     part = problem.partition
-    op = ExtendedOperator(problem, graph)  # audit station only: metrics and stopping
+    # the nodes take their rows of V's affine part from op; otherwise op
+    # serves the step size checks, the metrics and the stopping tests
+    op = ExtendedOperator(problem, graph)
     psi = build_preconditioner(params, op)
     _validate_run(params, op, psi)
     if params.diagnostics:
@@ -332,30 +311,27 @@ def run_distributed(
         raise ConfigurationError("initial state has a different partition", field="x0")
     d = part.total_dim
     nm = part.dual_dim
-    m = part.constraint_dim
     if np.any(x0.data[d + nm :] < 0.0):
         raise ConfigurationError("initial multiplier copies must be nonnegative", field="x0")
     n = part.num_agents
-    nodes = [AgentNode(i, part, problem, graph, oracle, psi, seed) for i in range(n)]
-    for i, node in enumerate(nodes):
-        node.load_state(
-            x0.data[part.primal_slice(i)],
-            x0.data[d + i * m : d + (i + 1) * m],
-            x0.data[d + nm + i * m : d + nm + (i + 1) * m],
-        )
+    nodes = [AgentNode(i, op, oracle, psi, seed) for i in range(n)]
+    for node in nodes:
+        node.load_state(x0.data[node.rows])
+    rows = np.concatenate([node.rows for node in nodes])
     bus = Exchange(graph, problem.interaction, audit=audit)
-    per_iter = (1 if params.variant == "sfb" else 2) * (
-        sum(len(r) for r in bus.strategy_receivers)
-        + sum(len(r) for r in bus.dual_receivers)
+    per_iter = (1 if params.variant == "sfb" else 2) * sum(
+        len(r) for receivers in bus.receivers.values() for r in receivers
     )
 
     def assemble() -> np.ndarray:
         arr = np.empty(part.state_dim)
-        for i, node in enumerate(nodes):
-            arr[part.primal_slice(i)] = node.x_u
-            arr[d + i * m : d + (i + 1) * m] = node.x_mu
-            arr[d + nm + i * m : d + nm + (i + 1) * m] = node.x_lam
+        arr[rows] = np.concatenate([node.x for node in nodes])
         return arr
+
+    def exchange(k: int, phase: int, points: list) -> list:
+        for node, point in zip(nodes, points):
+            node.post(bus, k, phase, *node.blocks(point))
+        return [bus.collect(i) for i in range(n)]
 
     trace = SolverTrace(part)
     rec = _RunRecorder(problem, op, psi, params, trace)
@@ -374,11 +350,7 @@ def run_distributed(
             if params.variant == "sfb":
                 alpha = 0.0
                 rho = 1.0
-                for node in nodes:
-                    node.post_x(bus, k)
-                for node in nodes:
-                    node.post_x_dual(bus, k)
-                boxes = [bus.collect(i) for i in range(n)]
+                boxes = exchange(k, PHASE_XI, [node.x for node in nodes])
                 for node, box in zip(nodes, boxes):
                     node.fb_update(box, k, size)
             else:
@@ -386,18 +358,10 @@ def run_distributed(
                 rho = rho_schedule(params, alpha, ell)
                 for node in nodes:
                     node.extrapolate(alpha)
-                for node in nodes:
-                    node.post_z(bus, k)
-                for node in nodes:
-                    node.post_z_dual(bus, k)
-                boxes = [bus.collect(i) for i in range(n)]
+                boxes = exchange(k, PHASE_XI, [node.z for node in nodes])
                 for node, box in zip(nodes, boxes):
                     node.forward_backward(box, k, size)
-                for node in nodes:
-                    node.post_y(bus, k)
-                for node in nodes:
-                    node.post_y_dual(bus, k)
-                boxes = [bus.collect(i) for i in range(n)]
+                boxes = exchange(k, PHASE_ETA, [node.y for node in nodes])
                 for node, box in zip(nodes, boxes):
                     node.correct_and_relax(box, k, size, rho)
             x_new = assemble()

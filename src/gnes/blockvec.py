@@ -1,4 +1,5 @@
-"""Block-partitioned vectors and the diagonal preconditioner geometry.
+"""Block-partitioned vectors, the diagonal preconditioner geometry, and
+the ordered sparse product both executors evaluate V's affine part with.
 
 All solver state lives in flat float64 arrays. A partition descriptor
 records how the primal vector splits across agents and how long the
@@ -15,7 +16,6 @@ from .errors import ConfigurationError, DimensionMismatchError
 
 __all__ = [
     "AgentPartition",
-    "BlockVector",
     "PrimalDualState",
     "Preconditioner",
     "OrderedRows",
@@ -99,13 +99,18 @@ class OrderedRows:
     Row r of the result is accumulated over the nonzero entries of row r
     in ascending column order, left to right from the first product; a
     row without entries gives 0.0. The work is elementwise multiplies
-    and adds, so evaluating all rows at once or only one agent's rows
-    gives the same floats. This is how the stacked solver and the agent
-    nodes stay bit-identical. x is either a vector or a matrix whose
-    rows are combined as wholes.
+    and adds, so evaluating all rows at once or only some of them
+    (restrict) gives the same floats. This is how the stacked solver and
+    the agent nodes stay bit-identical. x is either a vector or a matrix
+    whose rows are combined as wholes.
+
+    All products are formed in one gather and one multiply. Rows are
+    ordered by decreasing entry count, so the t-th products of all rows
+    that have one are contiguous and add onto a prefix of the first
+    products, one slice per t; one gather restores the row order.
     """
 
-    __slots__ = ("shape", "_steps")
+    __slots__ = ("shape", "_entries", "_cols", "_vals", "_vcol", "_live", "_spans", "_gather", "_empty")
 
     def __init__(self, shape: tuple[int, int], rows, cols, vals):
         rows = np.asarray(rows, dtype=np.int64)
@@ -115,18 +120,30 @@ class OrderedRows:
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
-        # position of each entry within its row
-        pos = np.arange(rows.size) - np.searchsorted(rows, rows)
         self.shape = (int(shape[0]), int(shape[1]))
-        steps = []
-        for t in range(int(pos.max()) + 1 if pos.size else 0):
-            sel = pos == t
-            r = rows[sel]
-            # None marks a step that touches every row, in row order
-            if r.size == self.shape[0]:
-                r = None
-            steps.append((r, cols[sel], vals[sel], vals[sel, None]))
-        self._steps = tuple(steps)
+        self._entries = (rows, cols, vals)
+        counts = np.bincount(rows, minlength=self.shape[0])
+        by_count = np.argsort(-counts, kind="stable")
+        rank = np.empty_like(by_count)
+        rank[by_count] = np.arange(by_count.size)
+        # entries by (position within the row, row's place in by_count)
+        pos = np.arange(rows.size) - np.searchsorted(rows, rows)
+        step_major = np.lexsort((rank[rows], pos))
+        self._cols = cols[step_major]
+        self._vals = vals[step_major]
+        self._vcol = self._vals[:, None]
+        per_step = np.bincount(pos, minlength=1)
+        starts = np.cumsum(per_step) - per_step
+        self._live = int(per_step[0])
+        self._spans = tuple(
+            (slice(0, int(n)), slice(int(b), int(b + n))) for n, b in zip(per_step[1:], starts[1:])
+        )
+        empty = counts == 0
+        if np.array_equal(by_count, np.arange(by_count.size)) and not empty.any():
+            self._gather = self._empty = None
+        else:
+            self._gather = np.where(empty, 0, rank)
+            self._empty = np.flatnonzero(empty) if empty.any() else None
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "OrderedRows":
@@ -134,69 +151,51 @@ class OrderedRows:
         rows, cols = np.nonzero(a)
         return cls(a.shape, rows, cols, a[rows, cols])
 
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty((self.shape[0],) + x.shape[1:])
-        steps = self._steps
-        if not steps or steps[0][0] is not None:
-            out.fill(0.0)
-        for t, (rows, cols, vals, vcol) in enumerate(steps):
-            v = vals if x.ndim == 1 else vcol
-            if rows is None:
-                if t == 0:
-                    np.multiply(v, x[cols], out=out)
-                else:
-                    out += v * x[cols]
-            elif t == 0:
-                out[rows] = v * x[cols]
-            else:
-                out[rows] += v * x[cols]
+    def restrict(self, rows, cols) -> "OrderedRows":
+        """The given rows over the given columns, both renumbered from 0.
+
+        cols must ascend and hold every nonzero column of those rows. The
+        renumbering keeps the column order, so on the matching entries
+        of x each row gives the floats of the same row of self.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if np.any(np.diff(cols) <= 0):
+            raise DimensionMismatchError("restricted columns must ascend", block="columns")
+        row_at = np.full(self.shape[0], -1)
+        row_at[rows] = np.arange(rows.size)
+        col_at = np.full(self.shape[1], -1)
+        col_at[cols] = np.arange(cols.size)
+        r, c, v = self._entries
+        sel = row_at[r] >= 0
+        c = col_at[c[sel]]
+        if np.any(c < 0):
+            raise DimensionMismatchError("a kept row has entries outside the columns", block="columns")
+        return OrderedRows((rows.size, cols.size), row_at[r[sel]], c, v[sel])
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if not self._live:
+            return np.zeros((self.shape[0],) + x.shape[1:])
+        terms = x.take(self._cols, axis=0)
+        terms *= self._vals if x.ndim == 1 else self._vcol
+        # the first products of all rows, then each later one added in turn
+        acc = terms[: self._live]
+        for head, span in self._spans:
+            part = acc[head]
+            np.add(part, terms[span], out=part)
+        if self._gather is None:
+            return acc
+        out = acc.take(self._gather, axis=0)
+        if self._empty is not None:
+            out[self._empty] = 0.0
         return out
-
-
-class BlockVector:
-    """A flat vector with agent-block views.
-
-    kind "primal" has length d with agent i owning dims[i] coordinates;
-    kind "dual" has length N * m with agent i owning one m-block.
-    """
-
-    __slots__ = ("partition", "data", "kind")
-
-    def __init__(self, partition: AgentPartition, data: np.ndarray, kind: str):
-        if kind not in ("primal", "dual"):
-            raise ConfigurationError(f"unknown block vector kind {kind!r}", field="kind")
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 1:
-            raise DimensionMismatchError("block vector data must be one dimensional")
-        expected = partition.total_dim if kind == "primal" else partition.dual_dim
-        if data.shape[0] != expected:
-            raise DimensionMismatchError(
-                f"{kind} vector has length {data.shape[0]}, expected {expected}",
-                block=kind,
-            )
-        self.partition = partition
-        self.data = data
-        self.kind = kind
-
-    def block(self, i: int) -> np.ndarray:
-        """View of agent i's coordinates (no copy)."""
-        if self.kind == "primal":
-            return self.data[self.partition.primal_slice(i)]
-        return self.data[self.partition.dual_slice(i)]
-
-    def copy(self) -> "BlockVector":
-        return BlockVector(self.partition, self.data.copy(), self.kind)
-
-    def __len__(self) -> int:
-        return self.data.shape[0]
 
 
 class PrimalDualState:
     """Full iterate x = (u, mu, lambda) stored as one flat array.
 
-    Block views are computed from the partition, never copied, so the
-    three-phase updates can write through them without aliasing bugs.
+    data holds u, then the N m-blocks of mu, then those of lambda, in
+    agent order.
     """
 
     __slots__ = ("partition", "data")
@@ -214,39 +213,6 @@ class PrimalDualState:
     @classmethod
     def zeros(cls, partition: AgentPartition) -> "PrimalDualState":
         return cls(partition, np.zeros(partition.state_dim))
-
-    @classmethod
-    def from_blocks(cls, partition: AgentPartition, u, mu, lam) -> "PrimalDualState":
-        u = np.asarray(u, dtype=np.float64).ravel()
-        mu = np.asarray(mu, dtype=np.float64).ravel()
-        lam = np.asarray(lam, dtype=np.float64).ravel()
-        if u.shape[0] != partition.total_dim:
-            raise DimensionMismatchError(
-                f"primal part has length {u.shape[0]}, expected {partition.total_dim}",
-                block="u",
-            )
-        if mu.shape[0] != partition.dual_dim or lam.shape[0] != partition.dual_dim:
-            raise DimensionMismatchError(
-                "dual parts must each have length N * m",
-                block="mu/lambda",
-            )
-        return cls(partition, np.concatenate([u, mu, lam]))
-
-    @property
-    def u(self) -> BlockVector:
-        return BlockVector(self.partition, self.data[: self.partition.total_dim], "primal")
-
-    @property
-    def mu(self) -> BlockVector:
-        d = self.partition.total_dim
-        nm = self.partition.dual_dim
-        return BlockVector(self.partition, self.data[d : d + nm], "dual")
-
-    @property
-    def lam(self) -> BlockVector:
-        d = self.partition.total_dim
-        nm = self.partition.dual_dim
-        return BlockVector(self.partition, self.data[d + nm :], "dual")
 
     def copy(self) -> "PrimalDualState":
         return PrimalDualState(self.partition, self.data.copy())
@@ -295,15 +261,6 @@ class Preconditioner:
         n = partition.num_agents
         s = np.full(n, float(step))
         return cls(partition, s, s.copy(), s.copy())
-
-    @property
-    def lambda_min(self) -> float:
-        """Smallest eigenvalue of Psi, i.e. 1 / max step size."""
-        return float(self.weights.min())
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.weights.max())
 
     @property
     def max_step(self) -> float:

@@ -1,11 +1,11 @@
-"""Weighted communication graphs and matrix-free Laplacian products.
+"""Weighted communication graphs and the per-agent Laplacian block.
 
 The Laplacian acts on stacked dual vectors blockwise, one m-block per
-agent, so the N m x N m Kronecker form is never materialized. Every
-block is degree_i v_i minus the weighted neighbor sum accumulated in
-ascending neighbor order, whether all blocks are formed at once
-(CommGraph.laplacian_rows, the single-process solver) or one at a time
-(laplacian_block, the agent nodes), so both executors get the same floats.
+agent, as L (x) I_m; the N m x N m Kronecker form is never materialized.
+Neither executor calls a Laplacian product of its own: the extended
+operator folds L's nonzeros into its sparse affine part (see
+operators.ExtendedOperator), which both executors apply. laplacian_block
+is the plain one-agent formula, kept as a reference for that part.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from collections import deque
 
 import numpy as np
 
-from .blockvec import OrderedRows
 from .errors import ConfigurationError, ToleranceError
 
 __all__ = [
@@ -82,9 +81,6 @@ class CommGraph:
         "max_degree",
         "lap_norm",
         "neighbors",
-        "neighbor_weights",
-        "_adjacency",
-        "_degree_col",
     )
 
     def __init__(self, weights: np.ndarray):
@@ -113,22 +109,10 @@ class CommGraph:
         self.max_degree = float(self.degrees.max()) if n > 0 else 0.0
         self.lap_norm = largest_eigenvalue_psd(self.laplacian)
         self.neighbors = neighbors
-        self.neighbor_weights = tuple(w[i, neighbors[i]].copy() for i in range(n))
-        self._adjacency = OrderedRows.from_dense(w)
-        self._degree_col = self.degrees[:, None].copy()
 
     @property
     def num_agents(self) -> int:
         return self.weights.shape[0]
-
-    def laplacian_rows(self, values: np.ndarray) -> np.ndarray:
-        """(L (x) I) applied to the rows of an (N, k) array, all blocks at once.
-
-        Row i equals laplacian_block for agent i on the same data.
-        """
-        out = self._degree_col * values
-        out -= self._adjacency(values)
-        return out
 
 
 def _connected(neighbors: tuple[np.ndarray, ...]) -> bool:
@@ -213,9 +197,8 @@ def laplacian_block(
     Computes sum_j w_ij (v_i - v_j) as degree_i * v_i minus the weighted
     sum of the neighbor rows, accumulated left to right. weights_i and
     neighbor_values are restricted to the neighbors of agent i in
-    ascending index order, so the kernel only ever touches locally
-    available data, and it performs the same float operations as
-    CommGraph.laplacian_rows does for row i.
+    ascending index order, so the formula only touches locally
+    available data.
     """
     out = np.multiply(degree_i, v_i, out=out)
     if len(weights_i):

@@ -7,8 +7,12 @@ agents through the constraint blocks and the communication Laplacian:
 
     V(x) = ( F(u) + D^T lambda ; L lambda ; b + L (lambda - mu) - D u )
 
-with all dual products taken blockwise per agent. Zeros of V + T, where
-T collects the local subdifferentials and the nonnegativity cone on
+with all dual products taken blockwise per agent, L standing for the
+Kronecker form L (x) I_m. Everything but F is affine, so
+V(x) = [F(u); 0; 0] + A x + c with one fixed sparse A and c = [0; 0; b].
+A is kept as an OrderedRows over the whole state; an agent node applies
+its own rows of it and gets the same floats. Zeros of V + T, where T
+collects the local subdifferentials and the nonnegativity cone on
 lambda, are variational equilibria of the game.
 """
 
@@ -206,12 +210,17 @@ class GameProblem:
 class ExtendedOperator:
     """V together with the resolvent of the separable part T.
 
+    affine and offset are the A and c of V(x) = [F(u); 0; 0] + A x + c.
+    Row i of A's mu and lambda blocks holds only agent i's own D_i and
+    the weights of its incident edges, which is what lets each agent
+    node evaluate its rows from its own blocks and its neighbours'.
+
     The Lipschitz constant of V satisfies
     ell_V <= ell + 2 kappa + ||D|| with kappa the Laplacian norm, which
     is what step size selection uses.
     """
 
-    __slots__ = ("problem", "graph", "lipschitz_ell_V", "_dual_pull", "_primal_push", "_b_rows")
+    __slots__ = ("problem", "graph", "lipschitz_ell_V", "affine", "offset")
 
     def __init__(self, problem: GameProblem, graph: CommGraph):
         if graph.num_agents != problem.partition.num_agents:
@@ -222,51 +231,47 @@ class ExtendedOperator:
             problem.lipschitz_ell + 2.0 * graph.lap_norm + problem.d_norm
         )
         part = problem.partition
-        n = part.num_agents
         m = part.constraint_dim
         d = part.total_dim
-        # the block-diagonal maps lambda -> (D_i^T lambda_i)_i and
-        # u -> (D_i u_i)_i, entry by entry as the agent nodes sum them
+        nm = part.dual_dim
         rows, cols, vals = [], [], []
+        # D_i^T lambda_i into the u rows, -D_i u_i into the lambda rows
         for i, Di in enumerate(problem.D):
             r, c = np.nonzero(Di)
-            rows.append(i * m + r)
-            cols.append(part.primal_slices[i].start + c)
-            vals.append(Di[r, c])
-        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-        self._dual_pull = OrderedRows((d, n * m), cols, rows, vals)
-        self._primal_push = OrderedRows((n * m, d), rows, cols, vals)
-        self._b_rows = np.stack(problem.b)
+            u_at = part.primal_slices[i].start + c
+            lam_at = d + nm + i * m + r
+            rows += [u_at, lam_at]
+            cols += [lam_at, u_at]
+            vals += [Di[r, c], -Di[r, c]]
+        # L lambda into the mu rows, L (lambda - mu) into the lambda rows
+        li, lj = np.nonzero(graph.laplacian)
+        within = np.arange(m)
+        at_i = (li[:, None] * m + within).ravel()
+        at_j = (lj[:, None] * m + within).ravel()
+        lap = np.repeat(graph.laplacian[li, lj], m)
+        rows += [d + at_i, d + nm + at_i, d + nm + at_i]
+        cols += [d + nm + at_j, d + at_j, d + nm + at_j]
+        vals += [lap, -lap, lap]
+        self.affine = OrderedRows(
+            (part.state_dim, part.state_dim),
+            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+        )
+        self.offset = np.zeros(part.state_dim)
+        self.offset[d + nm :] = np.concatenate(problem.b)
 
     # flat-array engine ----------------------------------------------------
     #
     # The solver calls these with raw state arrays and gets fresh arrays
-    # back. Every product sums its terms in the order the agent nodes use
-    # (OrderedRows, laplacian_rows), so both executors produce identical
-    # floats.
+    # back.
 
     def v_flat(self, x: np.ndarray, fvals: np.ndarray | None = None) -> np.ndarray:
         """V(x) on a flat state; fvals overrides the F(u) part when given."""
-        part = self.problem.partition
-        n = part.num_agents
-        d = part.total_dim
-        nm = part.dual_dim
-        m = part.constraint_dim
-        u = x[:d]
+        d = self.problem.partition.total_dim
         if fvals is None:
-            fvals = self.problem.stacked_gradient(u)
-        out = np.empty(part.state_dim)
-        vu = self._dual_pull(x[d + nm :], out=out[:d])
-        vu += fvals
-        # [lambda | lambda - mu] rows, so one Laplacian pass serves both blocks
-        pair = np.empty((n, 2 * m))
-        lam = pair[:, :m]
-        lam[...] = x[d + nm :].reshape(n, m)
-        np.subtract(lam, x[d : d + nm].reshape(n, m), out=pair[:, m:])
-        lap = self.graph.laplacian_rows(pair)
-        out[d : d + nm].reshape(n, m)[...] = lap[:, :m]
-        vlam = np.add(lap[:, m:], self._b_rows, out=out[d + nm :].reshape(n, m))
-        vlam -= self._primal_push(u).reshape(n, m)
+            fvals = self.problem.stacked_gradient(x[:d])
+        out = self.affine(x)
+        out += self.offset
+        out[:d] += fvals
         return out
 
     def resolvent_flat(self, x: np.ndarray, psi: Preconditioner) -> np.ndarray:

@@ -121,8 +121,11 @@ class SamplingOracle:
     draw per row. sample_mean must have the same distribution as the
     row average of that batch; the default computes exactly that
     average, and subclasses may override it with a shortcut that draws
-    the average from its own law.
+    the average from its own law. draws is False for an oracle whose
+    sample_mean ignores its generator, so no stream is keyed for it.
     """
+
+    draws = True
 
     def sample_gradient_batch(
         self, agent: int, u: np.ndarray, size: int, rng: np.random.Generator
@@ -149,6 +152,8 @@ class SamplingOracle:
 
 class ZeroNoiseOracle(SamplingOracle):
     """Returns the deterministic gradient; draws nothing from the stream."""
+
+    draws = False
 
     def __init__(self, problem):
         self.problem = problem

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnes.agentnet import Exchange, Message, run_distributed
-from gnes.blockvec import PrimalDualState
+from gnes.agentnet import AgentNode, Exchange, Message, run_distributed
+from gnes.blockvec import Preconditioner, PrimalDualState
 from gnes.cournot import CournotConfig, generate
 from gnes.errors import ConfigurationError
-from gnes.graph import generate_graph
+from gnes.graph import CommGraph, generate_graph
+from gnes.operators import ExtendedOperator
 from gnes.solver import SolverParams, run
-from gnes.stochastic import AdditiveGaussianOracle, BatchSchedule, ZeroNoiseOracle
+from gnes.stochastic import PHASE_XI, AdditiveGaussianOracle, AgentStreams, BatchSchedule, ZeroNoiseOracle
 
 from conftest import load_builtin, random_affine_game
 
@@ -89,6 +90,59 @@ def test_network_matches_on_cournot_market(noise, variant):
     assert t_mono.state_hash == t_net.state_hash
 
 
+def _weighted_graphs(rng, n):
+    graphs = [generate_graph(name, n) for name in ("ring", "star", "complete")]
+    graphs.append(generate_graph("erdos-renyi", n, p=0.5, seed=int(rng.integers(1 << 31))))
+    for g in graphs:
+        w = g.weights * rng.uniform(0.5, 2.0, size=g.weights.shape)
+        yield CommGraph(w + w.T)
+
+
+def _node_rows_and_stacked(problem, graph, rng, states=10):
+    """Each node's operator value from exchanged blocks, next to its rows of v_flat."""
+    op = ExtendedOperator(problem, graph)
+    psi = Preconditioner.uniform(problem.partition, 0.1)
+    oracle = ZeroNoiseOracle(problem)
+    nodes = [AgentNode(i, op, oracle, psi, 0) for i in range(problem.num_agents)]
+    for _ in range(states):
+        x = rng.normal(size=problem.partition.state_dim)
+        bus = Exchange(graph, problem.interaction)
+        for node in nodes:
+            node.post(bus, 0, PHASE_XI, *node.blocks(x[node.rows]))
+        stacked = op.v_flat(x)
+        for node in nodes:
+            local = node.operator_value(x[node.rows], bus.collect(node.index), 0, PHASE_XI, 1)
+            yield local, stacked[node.rows]
+
+
+def test_node_rows_match_v_flat_exactly():
+    # A's rows sum in ascending global column order on both sides, so a
+    # node's local kernel gives v_flat's floats, not just close ones
+    rng = np.random.default_rng(23)
+    market, _, _ = generate(CournotConfig(seed=0))
+    cases = [(market, g) for g in _weighted_graphs(rng, market.num_agents)]
+    for _ in range(6):
+        dims = tuple(int(v) for v in rng.integers(1, 4, size=int(rng.integers(3, 7))))
+        problem, _ = random_affine_game(rng, dims=dims, m=int(rng.integers(1, 4)))
+        cases += [(problem, g) for g in _weighted_graphs(rng, len(dims))]
+    for problem, graph in cases:
+        for local, stacked in _node_rows_and_stacked(problem, graph, rng):
+            assert np.array_equal(local, stacked)
+
+
+def test_noise_free_nodes_key_no_stream(monkeypatch):
+    def refuse(self, agent, iteration, phase):
+        raise AssertionError("a noise-free run keyed a stream")
+
+    monkeypatch.setattr(AgentStreams, "generator", refuse)
+    problem, _, graph = generate(CournotConfig(seed=0))
+    oracle = ZeroNoiseOracle(problem)
+    params = SolverParams(variant="sfbf", max_iters=20, tol=0.0)
+    _, t_mono = run(problem, graph, oracle, params, seed=4)
+    _, t_net, _ = run_distributed(problem, graph, oracle, params, seed=4)
+    assert t_mono.state_hash == t_net.state_hash
+
+
 def test_message_counts_dense_three_agents(monotone_small):
     problem, graph = monotone_small
     oracle = ZeroNoiseOracle(problem)
@@ -148,6 +202,14 @@ def test_exchange_rejects_undeclared_links():
     # agents 0 and 2 sit on opposite sides of the ring
     with pytest.raises(ConfigurationError):
         bus.post(Message(0, 2, "dual", 0, 0, (block, block)))
+    # a negative sender must not wrap around to agent 3's links
+    with pytest.raises(ConfigurationError):
+        bus.post(Message(-1, 2, "strategy", 0, 0, (block,)))
+    with pytest.raises(ConfigurationError):
+        bus.post(Message(0, 1, "gossip", 0, 0, (block,)))
+    with pytest.raises(ConfigurationError):
+        Exchange(graph, ((1,), (1,), (3,), (2,)))
+    assert bus.sent == {"strategy": 1, "dual": 0}
 
 
 def test_single_agent_runs_without_traffic(tiny):

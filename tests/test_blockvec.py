@@ -5,7 +5,6 @@ import pytest
 
 from gnes.blockvec import (
     AgentPartition,
-    BlockVector,
     OrderedRows,
     Preconditioner,
     PrimalDualState,
@@ -46,44 +45,11 @@ def test_partition_rejects_bad_shapes():
         PART.dual_slice(-1)
 
 
-def test_block_vector_views_share_memory():
-    v = BlockVector(PART, np.arange(6.0), "primal")
-    v.block(1)[:] = 0.0
-    assert np.array_equal(v.data, [0.0, 0.0, 0.0, 3.0, 4.0, 5.0])
-    w = BlockVector(PART, np.arange(6.0), "dual")
-    assert np.array_equal(w.block(2), [4.0, 5.0])
-
-
-def test_block_vector_validation():
-    with pytest.raises(ConfigurationError):
-        BlockVector(PART, np.zeros(6), "other")
-    with pytest.raises(DimensionMismatchError):
-        BlockVector(PART, np.zeros(5), "primal")
-    with pytest.raises(DimensionMismatchError):
-        BlockVector(PART, np.zeros((2, 3)), "primal")
-
-
-def test_state_block_layout():
-    u = np.arange(6.0)
-    mu = np.arange(6.0, 12.0)
-    lam = np.arange(12.0, 18.0)
-    x = PrimalDualState.from_blocks(PART, u, mu, lam)
-    assert np.array_equal(x.data, np.arange(18.0))
-    assert np.array_equal(x.u.data, u)
-    assert np.array_equal(x.mu.data, mu)
-    assert np.array_equal(x.lam.data, lam)
-    # views write through to the flat array
-    x.lam.block(0)[:] = -1.0
-    assert x.data[12] == -1.0 and x.data[13] == -1.0
-
-
 def test_state_validation():
     with pytest.raises(DimensionMismatchError):
         PrimalDualState(PART, np.zeros(17))
     with pytest.raises(DimensionMismatchError):
-        PrimalDualState.from_blocks(PART, np.zeros(5), np.zeros(6), np.zeros(6))
-    with pytest.raises(DimensionMismatchError):
-        PrimalDualState.from_blocks(PART, np.zeros(6), np.zeros(5), np.zeros(6))
+        PrimalDualState(PART, np.zeros((2, 9)))
     assert np.array_equal(PrimalDualState.zeros(PART).data, np.zeros(18))
 
 
@@ -98,14 +64,12 @@ def test_preconditioner_weights_layout():
     assert np.array_equal(psi.inv_weights, expected_steps)
     assert np.array_equal(psi.weights, 1.0 / expected_steps)
     assert psi.max_step == 1.0
-    assert psi.lambda_min == 1.0
-    assert psi.lambda_max == 20.0
 
 
 def test_preconditioner_uniform():
     psi = Preconditioner.uniform(PART, 0.25)
     assert np.all(psi.inv_weights == 0.25)
-    assert psi.lambda_min == psi.lambda_max == 4.0
+    assert np.all(psi.weights == 4.0)
     assert psi.max_step == 0.25
 
 
@@ -165,9 +129,6 @@ def test_ordered_rows_matches_dense_product_and_its_own_row_subsets():
         part = OrderedRows.from_dense(a[keep])
         assert np.array_equal(part(x), full(x)[keep])
         assert np.array_equal(part(xs), full(xs)[keep])
-        out = np.full(rows, np.nan)
-        assert full(x, out=out) is out
-        assert np.array_equal(out, full(x))
 
 
 def test_ordered_rows_sums_left_to_right_and_empty_rows_are_zero():
@@ -179,3 +140,27 @@ def test_ordered_rows_sums_left_to_right_and_empty_rows_are_zero():
     assert got[1] == 0.0
     assert got[2] == 2e-16
     assert np.array_equal(OrderedRows.from_dense(np.zeros((2, 3)))(x), [0.0, 0.0])
+
+
+def test_ordered_rows_restrict_keeps_the_floats_of_its_rows():
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
+        a = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.5)
+        full = OrderedRows.from_dense(a)
+        x = rng.normal(size=cols)
+        keep = rng.permutation(rows)[: int(rng.integers(1, rows + 1))]
+        # every nonzero column of the kept rows, plus some others
+        used = np.flatnonzero(np.any(a[keep] != 0.0, axis=0) | (rng.random(cols) < 0.3))
+        sub = full.restrict(keep, used)
+        assert sub.shape == (keep.size, used.size)
+        assert np.array_equal(sub(x[used]), full(x)[keep])
+
+
+def test_ordered_rows_restrict_rejects_bad_columns():
+    full = OrderedRows.from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 3.0]]))
+    with pytest.raises(DimensionMismatchError):
+        full.restrict([0], [1, 0])
+    with pytest.raises(DimensionMismatchError):
+        full.restrict([0], [0])
+    assert np.array_equal(full.restrict([1], [2])(np.array([2.0])), [6.0])

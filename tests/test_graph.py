@@ -5,6 +5,9 @@ import pytest
 
 from gnes.errors import ConfigurationError
 from gnes.graph import CommGraph, generate_graph, laplacian_block, largest_eigenvalue_psd
+from gnes.operators import ExtendedOperator
+
+from conftest import random_affine_game
 
 
 def test_ring_laplacian():
@@ -125,31 +128,32 @@ def test_laplacian_block_out_matches_plain():
         assert np.array_equal(plain, buf)
 
 
-def test_laplacian_rows_match_kronecker_product():
+def test_operator_laplacian_blocks_match_kronecker_product():
+    # the mu and lambda rows of V's affine part hold L (x) I_m, and
+    # applied to a vector they agree with the one-agent formula
     rng = np.random.default_rng(9)
     for _ in range(20):
-        n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 4))
+        dims = tuple(int(v) for v in rng.integers(1, 4, size=int(rng.integers(2, 7))))
+        problem, _ = random_affine_game(rng, dims=dims, m=m)
+        n = len(dims)
         g = generate_graph("erdos-renyi", n, p=0.6, seed=int(rng.integers(1 << 31)))
-        v = rng.normal(size=n * m)
-        dense = np.kron(g.laplacian, np.eye(m)) @ v
-        assert np.allclose(g.laplacian_rows(v.reshape(n, m)).ravel(), dense, atol=1e-12)
-
-
-def test_laplacian_rows_match_the_agent_kernel_exactly():
-    rng = np.random.default_rng(17)
-    graphs = [generate_graph("ring", 5), generate_graph("star", 6), generate_graph("complete", 4)]
-    graphs += [
-        generate_graph("erdos-renyi", int(rng.integers(2, 12)), p=0.5, seed=int(rng.integers(1 << 31)))
-        for _ in range(20)
-    ]
-    for g in graphs:
         w = g.weights * rng.uniform(0.5, 2.0, size=g.weights.shape)
         g = CommGraph(w + w.T)
-        vals = rng.normal(size=(g.num_agents, 3))
-        rows = g.laplacian_rows(vals)
-        assert np.allclose(rows, g.laplacian @ vals, atol=1e-12)
-        for i in range(g.num_agents):
+        op = ExtendedOperator(problem, g)
+        d = problem.partition.total_dim
+        nm = n * m
+        dense = op.affine(np.eye(problem.partition.state_dim))
+        kron = np.kron(g.laplacian, np.eye(m))
+        mu, lam = slice(d, d + nm), slice(d + nm, None)
+        assert np.array_equal(dense[mu, lam], kron)
+        assert np.array_equal(dense[lam, lam], kron)
+        assert np.array_equal(dense[lam, mu], -kron)
+        assert not dense[mu, : d + nm].any()
+        x = rng.normal(size=problem.partition.state_dim)
+        vals = x[lam].reshape(n, m)
+        mu_rows = op.affine(x)[mu].reshape(n, m)
+        for i in range(n):
             nbrs = g.neighbors[i]
-            block = laplacian_block(g.degrees[i], g.neighbor_weights[i], vals[i], vals[nbrs])
-            assert np.array_equal(rows[i], block)
+            block = laplacian_block(g.degrees[i], g.weights[i, nbrs], vals[i], vals[nbrs])
+            assert np.allclose(mu_rows[i], block, atol=1e-12)
