@@ -11,7 +11,11 @@ columns kept in ascending global order; A is an OrderedRows, so those
 rows give the single-process runner's floats by construction. The rest
 of a node's arithmetic repeats the runner's elementwise expressions on
 the node's rows, so the two executors produce bit-identical
-trajectories and traces.
+trajectories and traces. Everything around the step (step sizes and
+their checks, the initial state, the schedules, the stopping tests and
+the whole trace) is the single-process runner's loop, solver._drive;
+this module supplies only the step, a round of messages per sample
+point.
 
 Messages come in two kinds. A "strategy" message carries one agent's
 decision block to the agents whose costs depend on it (the interaction
@@ -29,18 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockvec import Preconditioner, PrimalDualState
-from .errors import ConfigurationError, GnesError, NumericError
+from .errors import ConfigurationError, NumericError
 from .graph import CommGraph
 from .operators import ExtendedOperator, GameProblem
-from .solver import (
-    SolverParams,
-    SolverTrace,
-    _RunRecorder,
-    _validate_run,
-    alpha_schedule,
-    build_preconditioner,
-    rho_schedule,
-)
+from .solver import SolverParams, SolverTrace, _drive
 from .stochastic import PHASE_ETA, PHASE_XI, AgentStreams, SamplingOracle
 
 __all__ = ["Message", "Exchange", "AgentNode", "NetworkReport", "run_distributed"]
@@ -291,71 +287,40 @@ def run_distributed(
     """Run the selected variant on the agent network.
 
     Produces the same iterates, trace, and trajectory hash as run()
-    with the same arguments. The returned report carries the message
-    counters (and the full metadata log when audit is set).
+    with the same arguments: both go through the same loop, and only
+    the step differs. The returned report carries the message counters
+    (and the full metadata log when audit is set).
     """
-    part = problem.partition
-    # the nodes take their rows of V's affine part from op; otherwise op
-    # serves the step size checks, the metrics and the stopping tests
-    op = ExtendedOperator(problem, graph)
-    psi = build_preconditioner(params, op)
-    _validate_run(params, op, psi)
     if params.diagnostics:
         raise ConfigurationError(
             "recursion diagnostics are produced by the single-process runner",
             field="diagnostics",
         )
-    if x0 is None:
-        x0 = PrimalDualState.zeros(part)
-    if x0.partition != part:
-        raise ConfigurationError("initial state has a different partition", field="x0")
-    d = part.total_dim
-    nm = part.dual_dim
-    if np.any(x0.data[d + nm :] < 0.0):
-        raise ConfigurationError("initial multiplier copies must be nonnegative", field="x0")
+    part = problem.partition
     n = part.num_agents
-    nodes = [AgentNode(i, op, oracle, psi, seed) for i in range(n)]
-    for node in nodes:
-        node.load_state(x0.data[node.rows])
-    rows = np.concatenate([node.rows for node in nodes])
     bus = Exchange(graph, problem.interaction, audit=audit)
     per_iter = (1 if params.variant == "sfb" else 2) * sum(
         len(r) for receivers in bus.receivers.values() for r in receivers
     )
 
-    def assemble() -> np.ndarray:
-        arr = np.empty(part.state_dim)
-        arr[rows] = np.concatenate([node.x for node in nodes])
-        return arr
+    def make_step(op, psi, x0):
+        # the nodes take their rows of V's affine part from op
+        nodes = [AgentNode(i, op, oracle, psi, seed) for i in range(n)]
+        for node in nodes:
+            node.load_state(x0[node.rows])
+        rows = np.concatenate([node.rows for node in nodes])
 
-    def exchange(k: int, phase: int, points: list) -> list:
-        for node, point in zip(nodes, points):
-            node.post(bus, k, phase, *node.blocks(point))
-        return [bus.collect(i) for i in range(n)]
+        def exchange(k: int, phase: int, points: list) -> list:
+            for node, point in zip(nodes, points):
+                node.post(bus, k, phase, *node.blocks(point))
+            return [bus.collect(i) for i in range(n)]
 
-    trace = SolverTrace(part)
-    rec = _RunRecorder(problem, op, psi, params, trace)
-    ell = op.lipschitz_ell_V * psi.max_step
-    x = assemble()
-    x_prev = x.copy()
-    rec.start(x)
-    stopped = False
-    k = 0
-    try:
-        for k in range(params.max_iters):
-            if rec.pre_step(k, x, x_prev):
-                stopped = True
-                break
-            size = params.batch.size(k)
+        def step(k, x, x_prev, alpha, rho, size):
             if params.variant == "sfb":
-                alpha = 0.0
-                rho = 1.0
                 boxes = exchange(k, PHASE_XI, [node.x for node in nodes])
                 for node, box in zip(nodes, boxes):
                     node.fb_update(box, k, size)
             else:
-                alpha = alpha_schedule(params, k)
-                rho = rho_schedule(params, alpha, ell)
                 for node in nodes:
                     node.extrapolate(alpha)
                 boxes = exchange(k, PHASE_XI, [node.z for node in nodes])
@@ -364,14 +329,13 @@ def run_distributed(
                 boxes = exchange(k, PHASE_ETA, [node.y for node in nodes])
                 for node, box in zip(nodes, boxes):
                     node.correct_and_relax(box, k, size, rho)
-            x_new = assemble()
-            rec.post_step(k, x_new, alpha, rho, size)
-            x_prev = x
-            x = x_new
-    except GnesError as err:
-        rec.abort(err, x, k)
-        raise
-    rec.finish(x, k, stopped)
+            x_next = np.empty(part.state_dim)
+            x_next[rows] = np.concatenate([node.x for node in nodes])
+            return x_next, None
+
+        return step
+
+    state, trace = _drive(problem, graph, params, x0, make_step)
     report = NetworkReport(
         strategy_messages=bus.sent["strategy"],
         dual_messages=bus.sent["dual"],
@@ -379,4 +343,4 @@ def run_distributed(
         iterations=trace.iterations,
         log=bus.log,
     )
-    return PrimalDualState(part, x), trace, report
+    return state, trace, report

@@ -338,17 +338,23 @@ def write_trace(path: str, trace, report=None):
     write_csv(path, header, trace_rows(trace, report))
 
 
-def _replication_summary(seed: int, trace, wall: float) -> dict:
-    return {
-        "seed": seed,
-        "iterations": trace.iterations,
-        "final_r_psi": trace.final_r_psi,
-        "final_res": trace.final_res,
-        "final_consensus_gap": trace.final_consensus_gap,
-        "final_feas_gap": trace.final_feas_gap,
-        "wall_time_s": wall,
-        "trace_hash": trace.state_hash,
-    }
+def _replications(problem, graph, oracle, params, config: RunConfig):
+    """Run the replications with seeds base, base + 1, ...: (r, trace, summary row)."""
+    for r in range(config.reps):
+        seed = config.seed + r
+        t0 = time.perf_counter()
+        _, trace = run(problem, graph, oracle, params, seed=seed)
+        wall = time.perf_counter() - t0
+        yield r, trace, {
+            "seed": seed,
+            "iterations": trace.iterations,
+            "final_r_psi": trace.final_r_psi,
+            "final_res": trace.final_res,
+            "final_consensus_gap": trace.final_consensus_gap,
+            "final_feas_gap": trace.final_feas_gap,
+            "wall_time_s": wall,
+            "trace_hash": trace.state_hash,
+        }
 
 
 def _aggregate_rows(traces) -> list:
@@ -384,28 +390,19 @@ def cmd_run(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     problem, graph, instance_oracle = resolve_problem(config, allow_nonmonotone)
     oracle = resolve_oracle(config, problem, instance_oracle)
     params = config.solver
-    if params.diagnostics and params.variant == "sfb":
-        raise ConfigurationError(
-            "recursion diagnostics apply to the forward-backward-forward variants",
-            field="diagnostics",
-        )
     reference = None
     if params.diagnostics:
         reference, _ = solve_ground_truth(problem, graph)
     out = config.out
     traces = []
     replications = []
-    for r in range(config.reps):
-        seed = config.seed + r
-        t0 = time.perf_counter()
-        _, trace = run(problem, graph, oracle, params, seed=seed)
-        wall = time.perf_counter() - t0
+    for r, trace, summary in _replications(problem, graph, oracle, params, config):
         report = diagnostics_check(trace, reference) if reference is not None else None
         write_trace(os.path.join(out, f"trace_rep{r}.csv"), trace, report)
         traces.append(trace)
-        replications.append(_replication_summary(seed, trace, wall))
+        replications.append(summary)
         print(
-            f"rep {r} seed {seed}: iterations={trace.iterations} "
+            f"rep {r} seed {summary['seed']}: iterations={trace.iterations} "
             f"res={trace.final_res:.6e} r_psi={trace.final_r_psi:.6e}"
         )
     write_csv(os.path.join(out, "aggregate.csv"), _AGGREGATE_HEADER, _aggregate_rows(traces))
@@ -420,7 +417,8 @@ def cmd_run(config: RunConfig, allow_nonmonotone: bool = False) -> int:
 
 
 def _compare_points(config: RunConfig) -> list:
-    base = config.solver
+    # compare reads no recursion payloads, so its runs keep none
+    base = dataclasses.replace(config.solver, diagnostics=False)
     if config.variants is not None:
         if len(config.variants) < 2:
             raise ConfigurationError(
@@ -462,14 +460,10 @@ def cmd_compare(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     families = []
     for label, params in points:
         replications = []
-        for r in range(config.reps):
-            seed = config.seed + r
-            t0 = time.perf_counter()
-            _, trace = run(problem, graph, oracle, params, seed=seed)
-            wall = time.perf_counter() - t0
+        for r, trace, summary in _replications(problem, graph, oracle, params, config):
             for i, k in enumerate(trace.ks):
                 rows.append([label, r, k, trace.res[i], trace.r_psi[i]])
-            replications.append(_replication_summary(seed, trace, wall))
+            replications.append(summary)
         families.append({
             "variant": label,
             "alpha_bar": params.alpha_bar,
@@ -491,12 +485,10 @@ def cmd_compare(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     return 0
 
 
-def _lambda_floor(partition, states) -> float:
-    d = partition.total_dim
+def _lambda_floor(partition, x: np.ndarray) -> float:
+    """Smallest multiplier entry of a state; 0.0 without constraints."""
     nm = partition.dual_dim
-    if nm == 0 or not states:
-        return 0.0
-    return min(float(x[d + nm:].min()) for x in states)
+    return float(x[partition.total_dim + nm:].min()) if nm else 0.0
 
 
 def _least(slacks: np.ndarray) -> float:
@@ -507,11 +499,6 @@ def _least(slacks: np.ndarray) -> float:
 def cmd_verify(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     """Check the per-iteration recursion inequalities along one run."""
     params = dataclasses.replace(config.solver, diagnostics=True, trace_every=1)
-    if params.variant == "sfb":
-        raise ConfigurationError(
-            "recursion diagnostics apply to the forward-backward-forward variants",
-            field="variant",
-        )
     problem, graph, instance_oracle = resolve_problem(config, allow_nonmonotone)
     oracle = resolve_oracle(config, problem, instance_oracle)
     reference, _ = solve_ground_truth(problem, graph)
@@ -530,12 +517,8 @@ def cmd_verify(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     # only Y_k passes through the resolvent each iteration; the relaxed
     # X_{k+1} and the extrapolated Z_k can dip below zero in the
     # multiplier block, so the sign check applies to Y_k alone
-    y_floor = _lambda_floor(part, diag.Y)
-    checks.append((
-        "multiplier_sign",
-        np.flatnonzero([_lambda_floor(part, [y]) < -tol for y in diag.Y]),
-        y_floor,
-    ))
+    floors = np.array([_lambda_floor(part, y) for y in diag.Y])
+    checks.append(("multiplier_sign", np.flatnonzero(floors < -tol), _least(floors)))
     if isinstance(oracle, ZeroNoiseOracle) and trace.r_psi:
         progress = trace.r_psi[0] - trace.final_r_psi
         checks.append(("residual_progress", np.flatnonzero([progress < -tol]), progress))

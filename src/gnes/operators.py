@@ -412,11 +412,11 @@ def proj_shared_set(
     return u
 
 
-def residual_res(p: GameProblem, u: np.ndarray, proj_tol: float = 1e-10) -> float:
+def residual_res(p: GameProblem, u: np.ndarray) -> float:
     """Natural residual || u - proj_C(u - F(u)) || of the shared-constraint VI."""
     u = np.asarray(u, dtype=np.float64).ravel()
     f = p.stacked_gradient(u)
-    return float(np.linalg.norm(u - proj_shared_set(p, u - f, tol=proj_tol)))
+    return float(np.linalg.norm(u - proj_shared_set(p, u - f)))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .stochastic import (
     AgentStreams,
     BatchSchedule,
     SamplingOracle,
+    ZeroNoiseOracle,
     sample_V_hat,
 )
 
@@ -115,6 +116,11 @@ class SolverParams:
             raise ConfigurationError("rho_fixed must lie in (0, 1]", field="rho_fixed")
         if not (np.isfinite(self.rho_scale) and self.rho_scale > 0.0):
             raise ConfigurationError("rho_scale must be finite and > 0", field="rho_scale")
+        if self.diagnostics and self.variant == "sfb":
+            raise ConfigurationError(
+                "recursion diagnostics apply to the forward-backward-forward variants",
+                field="variant",
+            )
 
 
 def alpha_schedule(params: SolverParams, k: int) -> float:
@@ -295,9 +301,6 @@ class SolverTrace:
     def _finalize(self):
         self.state_hash = self._hasher.hexdigest()
 
-    def __len__(self) -> int:
-        return len(self.ks)
-
 
 class _DiagnosticsData:
     """Raw per-iteration material for the recursion checks."""
@@ -318,32 +321,46 @@ class _DiagnosticsData:
 
 
 class _RunRecorder:
-    """Per-iteration bookkeeping shared by both executors.
+    """Creates the trace of a run and is its only writer, for both executors.
 
-    Recording, stopping tests, trajectory hashing, and finalization all
-    live here so the single-process runner and the networked runner
-    cannot drift apart in how they produce traces.
+    Recording, stopping tests, trajectory hashing, the diagnostics
+    payload and finalization live here, so the single-process runner
+    and the networked runner cannot drift apart in how they produce
+    traces. A step only computes iterates; post_step records the
+    diagnostics payload from the mid-iteration points the step returns.
     """
 
     def __init__(
         self,
-        problem: GameProblem,
         op: ExtendedOperator,
         psi: Preconditioner,
         params: SolverParams,
-        trace: SolverTrace,
+        ell_v_psi: float,
+        x0: np.ndarray,
     ):
-        self.problem = problem
+        self.problem = op.problem
         self.op = op
         self.psi = psi
         self.params = params
-        self.trace = trace
-        self._record = False
-
-    def start(self, x0: np.ndarray):
+        self.trace = SolverTrace(self.problem.partition)
         self.trace._hash_state(x0)
-        if self.trace.diag is not None:
+        if params.diagnostics:
+            self.trace.diag = _DiagnosticsData(psi, params.nu, ell_v_psi)
             self.trace.diag.states.append(x0.copy())
+        self._record = False
+        self._row = None
+
+    def _metrics(self, x: np.ndarray) -> tuple[float, float, float, float]:
+        """r_psi, res, consensus gap and feasibility gap at x."""
+        part = self.problem.partition
+        d = part.total_dim
+        u = x[:d]
+        return (
+            self.op.r_psi_flat(x, self.psi),
+            residual_res(self.problem, u),
+            consensus_gap(part, x[d + part.dual_dim :]),
+            feasibility_gap(self.problem, u),
+        )
 
     def pre_step(self, k: int, x: np.ndarray, x_prev: np.ndarray) -> bool:
         """Record the row for iteration k; True means a stopping test fired."""
@@ -351,12 +368,8 @@ class _RunRecorder:
         self._record = (k % params.trace_every) == 0
         if not self._record:
             return False
-        part = self.problem.partition
-        d = part.total_dim
-        nm = part.dual_dim
         t = self.trace
-        r_psi_k = self.op.r_psi_flat(x, self.psi)
-        res_k = residual_res(self.problem, x[:d])
+        self._row = r_psi_k, res_k, cgap_k, fgap_k = self._metrics(x)
         if (params.tol > 0.0 and r_psi_k < params.tol) or (
             params.tol_res is not None and res_k < params.tol_res
         ):
@@ -365,23 +378,37 @@ class _RunRecorder:
         t.ks.append(k)
         t.r_psi.append(r_psi_k)
         t.res.append(res_k)
-        t.consensus_gap.append(consensus_gap(part, x[d + nm :]))
-        t.feas_gap.append(feasibility_gap(self.problem, x[:d]))
+        t.consensus_gap.append(cgap_k)
+        t.feas_gap.append(fgap_k)
         t.step_norm.append(float(np.sqrt(np.dot(self.psi.weights * dx, dx))))
         return False
 
-    def post_step(self, k: int, x_next: np.ndarray, alpha: float, rho: float, size: int):
+    def post_step(self, k: int, x_next: np.ndarray, mid: tuple | None, alpha: float, rho: float, size: int):
+        """Check and hash X_{k+1}; mid is the step's (Z, Y, V_hat(Z), V_hat(Y)) or None."""
         # a non-finite entry propagates through the sum
         if not math.isfinite(float(x_next.sum())):
             raise NumericError(f"iterate became non-finite at iteration {k}")
+        t = self.trace
         if self._record:
-            self.trace.alphas.append(alpha)
-            self.trace.rhos.append(rho)
-            self.trace.batches.append(size)
-        self.trace._hash_state(x_next)
-        if self.trace.diag is not None:
-            self.trace.diag.states.append(x_next.copy())
-        self.trace.iterations = k + 1
+            t.alphas.append(alpha)
+            t.rhos.append(rho)
+            t.batches.append(size)
+        t._hash_state(x_next)
+        diag = t.diag
+        if diag is not None:
+            z, y, a, b = mid
+            op = self.op
+            vz = op.v_flat(z)
+            jz = op.resolvent_flat(z - self.psi.inv_weights * vz, self.psi)
+            diag.Z.append(z)
+            diag.Y.append(y)
+            diag.U.append(a - vz)
+            diag.W.append(b - op.v_flat(y))
+            diag.r_psi_z.append(float(np.linalg.norm(z - jz)))
+            diag.alphas.append(alpha)
+            diag.rhos.append(rho)
+            diag.states.append(x_next.copy())
+        t.iterations = k + 1
 
     def abort(self, err: GnesError, x: np.ndarray, k: int):
         """Attach the trace of the rows recorded so far to an error that ends the run."""
@@ -393,16 +420,13 @@ class _RunRecorder:
         err.trace = self.trace
 
     def finish(self, x: np.ndarray, k: int, stopped: bool):
-        part = self.problem.partition
-        d = part.total_dim
-        nm = part.dual_dim
+        """Final metrics; a stopped run reuses those of the row whose test fired at x."""
         t = self.trace
         if stopped:
             t.iterations = k
-        t.final_r_psi = self.op.r_psi_flat(x, self.psi)
-        t.final_res = residual_res(self.problem, x[:d])
-        t.final_consensus_gap = consensus_gap(part, x[d + nm :])
-        t.final_feas_gap = feasibility_gap(self.problem, x[:d])
+        t.final_r_psi, t.final_res, t.final_consensus_gap, t.final_feas_gap = (
+            self._row if stopped else self._metrics(x)
+        )
         t._finalize()
 
 
@@ -417,9 +441,11 @@ def risfbf_step(
     size: int,
     streams: AgentStreams,
     k: int,
-    diag: _DiagnosticsData | None = None,
-) -> np.ndarray:
-    """One extrapolation/forward-backward/correction/relaxation cycle on flat arrays."""
+) -> tuple[np.ndarray, tuple]:
+    """One extrapolation/forward-backward/correction/relaxation cycle on flat arrays.
+
+    Returns X_{k+1} and the mid-iteration points (Z, Y, V_hat(Z), V_hat(Y)).
+    """
     invw = psi.inv_weights
     z = x + alpha * (x - x_prev)
     a = sample_V_hat(op, oracle, z, size, streams, k, PHASE_XI)
@@ -427,19 +453,7 @@ def risfbf_step(
     b = sample_V_hat(op, oracle, y, size, streams, k, PHASE_ETA)
     r = y + invw * (a - b)
     # same affine form (1 - rho) z + rho r as the per-block relaxation on agent nodes
-    x_next = (1.0 - rho) * z + rho * r
-    if diag is not None:
-        vz = op.v_flat(z)
-        vy = op.v_flat(y)
-        jz = op.resolvent_flat(z - invw * vz, psi)
-        diag.Z.append(z.copy())
-        diag.Y.append(y.copy())
-        diag.U.append(a - vz)
-        diag.W.append(b - vy)
-        diag.r_psi_z.append(float(np.linalg.norm(z - jz)))
-        diag.alphas.append(alpha)
-        diag.rhos.append(rho)
-    return x_next
+    return (1.0 - rho) * z + rho * r, (z, y, a, b)
 
 
 def sfb_step(
@@ -454,6 +468,56 @@ def sfb_step(
     """Plain projected stochastic forward-backward step."""
     a = sample_V_hat(op, oracle, x, size, streams, k, PHASE_XI)
     return op.resolvent_flat(x - psi.inv_weights * a, psi)
+
+
+def _drive(
+    problem: GameProblem,
+    graph: CommGraph,
+    params: SolverParams,
+    x0: PrimalDualState | None,
+    make_step,
+) -> tuple[PrimalDualState, SolverTrace]:
+    """The iteration loop of both executors.
+
+    make_step(op, psi, x0) returns step(k, x, x_prev, alpha, rho, size),
+    which gives X_{k+1} and its mid-iteration points (or None); the
+    loop owns everything around it: step sizes and their checks, the
+    initial state, the schedules and the recorder.
+    """
+    part = problem.partition
+    op = ExtendedOperator(problem, graph)
+    psi = build_preconditioner(params, op)
+    _validate_run(params, op, psi)
+    if x0 is None:
+        x0 = PrimalDualState.zeros(part)
+    if x0.partition != part:
+        raise ConfigurationError("initial state has a different partition", field="x0")
+    if np.any(x0.data[part.total_dim + part.dual_dim :] < 0.0):
+        raise ConfigurationError("initial multiplier copies must be nonnegative", field="x0")
+    ell = op.lipschitz_ell_V * psi.max_step
+    x_prev = x = x0.data.copy()  # X_{-1} = X_0; no step writes into its inputs
+    rec = _RunRecorder(op, psi, params, ell, x)
+    step = make_step(op, psi, x0.data)
+    relaxed = params.variant != "sfb"
+    stopped = False
+    k = 0
+    try:
+        for k in range(params.max_iters):
+            if rec.pre_step(k, x, x_prev):
+                stopped = True
+                break
+            size = params.batch.size(k)
+            alpha = alpha_schedule(params, k)
+            rho = rho_schedule(params, alpha, ell) if relaxed else 1.0
+            x_next, mid = step(k, x, x_prev, alpha, rho, size)
+            rec.post_step(k, x_next, mid, alpha, rho, size)
+            x_prev = x
+            x = x_next
+    except GnesError as err:
+        rec.abort(err, x, k)
+        raise
+    rec.finish(x, k, stopped)
+    return PrimalDualState(part, x), rec.trace
 
 
 def run(
@@ -472,83 +536,40 @@ def run(
     one row per executed iteration at that decimation, and the final
     iterate's metrics are stored on the trace separately.
     """
-    part = problem.partition
-    op = ExtendedOperator(problem, graph)
-    psi = build_preconditioner(params, op)
-    _validate_run(params, op, psi)
-    if x0 is None:
-        x0 = PrimalDualState.zeros(part)
-    if x0.partition != part:
-        raise ConfigurationError("initial state has a different partition", field="x0")
-    d = part.total_dim
-    nm = part.dual_dim
-    if np.any(x0.data[d + nm :] < 0.0):
-        raise ConfigurationError("initial multiplier copies must be nonnegative", field="x0")
-    ell = op.lipschitz_ell_V * psi.max_step
-    trace = SolverTrace(part)
-    if params.diagnostics:
-        trace.diag = _DiagnosticsData(psi, params.nu, ell)
-    rec = _RunRecorder(problem, op, psi, params, trace)
     streams = AgentStreams(seed)
-    x_prev = x0.data.copy()
-    x = x0.data.copy()
-    rec.start(x)
-    stopped = False
-    k = 0
-    try:
-        for k in range(params.max_iters):
-            if rec.pre_step(k, x, x_prev):
-                stopped = True
-                break
-            size = params.batch.size(k)
+
+    def make_step(op, psi, x0):
+        def step(k, x, x_prev, alpha, rho, size):
             if params.variant == "sfb":
-                alpha = 0.0
-                rho = 1.0
-                x_next = sfb_step(op, oracle, psi, x, size, streams, k)
-            else:
-                alpha = alpha_schedule(params, k)
-                rho = rho_schedule(params, alpha, ell)
-                x_next = risfbf_step(
-                    op, oracle, psi, x, x_prev, alpha, rho, size, streams, k,
-                    diag=trace.diag,
-                )
-            rec.post_step(k, x_next, alpha, rho, size)
-            x_prev = x
-            x = x_next
-    except GnesError as err:
-        rec.abort(err, x, k)
-        raise
-    rec.finish(x, k, stopped)
-    return PrimalDualState(part, x), trace
+                return sfb_step(op, oracle, psi, x, size, streams, k), None
+            return risfbf_step(op, oracle, psi, x, x_prev, alpha, rho, size, streams, k)
+
+        return step
+
+    return _drive(problem, graph, params, x0, make_step)
 
 
 def solve_ground_truth(
     problem: GameProblem,
     graph: CommGraph,
-    x0: PrimalDualState | None = None,
-    tol: float = 1e-12,
     max_iters: int = 500_000,
-    check_every: int = 10,
 ) -> tuple[PrimalDualState, SolverTrace]:
-    """Noise-free forward-backward-forward run to high accuracy.
+    """Noise-free forward-backward-forward run to r_psi < 1e-12.
 
     Used to obtain reference equilibria for the residual and recursion
-    tests. Raises if the budget is exhausted before reaching tol.
+    tests. The stopping test is checked every 10 iterations. Raises if
+    the budget is exhausted before reaching the tolerance.
     """
-    from .stochastic import ZeroNoiseOracle
-
     params = SolverParams(
         variant="sfbf",
         alpha_bar=0.0,
-        nu=0.01,
-        steps="auto",
         max_iters=max_iters,
-        tol=tol,
-        trace_every=check_every,
+        tol=1e-12,
+        trace_every=10,
         batch=BatchSchedule(1.0, 1.2),
     )
-    state, trace = run(problem, graph, ZeroNoiseOracle(problem), params, x0=x0, seed=0)
-    if trace.final_r_psi >= tol:
+    state, trace = run(problem, graph, ZeroNoiseOracle(problem), params)
+    if trace.final_r_psi >= params.tol:
         raise NumericError(
             f"reference solve stalled at residual {trace.final_r_psi:.3e} "
             f"after {trace.iterations} iterations"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnes.agentnet import AgentNode, Exchange, Message, run_distributed
-from gnes.blockvec import Preconditioner, PrimalDualState
+from gnes.blockvec import Preconditioner
 from gnes.cournot import CournotConfig, generate
 from gnes.errors import ConfigurationError
 from gnes.graph import CommGraph, generate_graph
@@ -229,12 +229,3 @@ def test_network_refuses_diagnostics(monotone_small):
     with pytest.raises(ConfigurationError) as info:
         run_distributed(problem, graph, ZeroNoiseOracle(problem), params)
     assert info.value.field == "diagnostics"
-
-
-def test_network_validates_initial_state(monotone_small):
-    problem, graph = monotone_small
-    params = SolverParams(max_iters=2)
-    bad = PrimalDualState.zeros(problem.partition)
-    bad.data[-1] = -1.0
-    with pytest.raises(ConfigurationError):
-        run_distributed(problem, graph, ZeroNoiseOracle(problem), params, x0=bad)

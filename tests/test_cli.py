@@ -374,9 +374,25 @@ def test_verify_flags_broken_relaxation(tmp_path, capsys):
 
 
 def test_verify_rejects_plain_forward_backward(tmp_path, capsys):
-    path = write_config(tmp_path, base_doc(solver={"variant": "sfb"}))
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_doc(solver={"variant": "sfb"}, out=str(out)))
     assert main(["verify", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["field"]) == ("ConfigurationError", "variant")
+    assert not out.exists()
+    assert main(["run", "--config", path, "--diagnostics"]) == 2
     assert json.loads(capsys.readouterr().err)["field"] == "variant"
+    assert not out.exists()
+
+
+def test_compare_with_diagnostics_runs_a_forward_backward_family(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = base_doc(variants=["risfbf", "sfb"], out=str(out))
+    path = write_config(tmp_path, doc)
+    assert main(["compare", "--config", path, "--diagnostics"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [f["variant"] for f in summary["families"]] == ["risfbf", "sfb"]
+    assert summary["config"]["solver"]["diagnostics"] is True
 
 
 def test_gen_then_run(tmp_path, capsys):

@@ -65,6 +65,17 @@ def test_params_validation():
     SolverParams(alpha_bar=0.0)  # zero inertia degenerates to plain FBF
 
 
+def test_params_refuse_diagnostics_without_a_correction_step():
+    # the forward-backward step has no Z, Y, U or W: the recursion check
+    # would pass on zero rows
+    with pytest.raises(ConfigurationError) as info:
+        SolverParams(variant="sfb", diagnostics=True)
+    assert info.value.field == "variant"
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(SolverParams(diagnostics=True), variant="sfb")
+    SolverParams(variant="sfbf", diagnostics=True)
+
+
 def test_alpha_schedule_values():
     p = SolverParams(variant="risfbf", alpha_bar=0.2)
     assert alpha_schedule(p, 0) == 0.0
@@ -263,17 +274,21 @@ def test_trace_decimation_and_schedules(monotone_small):
     assert trace.iterations == 50
 
 
-def test_run_validates_initial_state(monotone_small):
+@pytest.mark.parametrize("executor", ["single", "network"])
+def test_run_validates_initial_state(monotone_small, executor):
     problem, graph = monotone_small
     oracle = ZeroNoiseOracle(problem)
     params = SolverParams(max_iters=2)
+    runner = run if executor == "single" else run_distributed
     wrong = PrimalDualState.zeros(AgentPartition((1, 1), 1))
-    with pytest.raises(ConfigurationError):
-        run(problem, graph, oracle, params, x0=wrong)
+    with pytest.raises(ConfigurationError) as info:
+        runner(problem, graph, oracle, params, x0=wrong)
+    assert info.value.field == "x0"
     bad = PrimalDualState.zeros(problem.partition)
     bad.data[-1] = -0.5
-    with pytest.raises(ConfigurationError):
-        run(problem, graph, oracle, params, x0=bad)
+    with pytest.raises(ConfigurationError) as info:
+        runner(problem, graph, oracle, params, x0=bad)
+    assert info.value.field == "x0"
 
 
 def test_numeric_error_carries_partial_trace(monotone_small):
@@ -319,6 +334,25 @@ def test_recording_error_carries_partial_trace(monotone_small, monkeypatch, exec
     assert trace.res == [1.0] * 5
     assert trace.iterations == 5
     assert len(trace.state_hash) == 64
+
+
+def test_stopped_run_reuses_the_metrics_of_its_last_row(monotone_small, monkeypatch):
+    problem, graph = monotone_small
+    calls = [0]
+    residual = solver.residual_res
+
+    def counted(p, u):
+        calls[0] += 1
+        return residual(p, u)
+
+    monkeypatch.setattr(solver, "residual_res", counted)
+    params = SolverParams(variant="risfbf", max_iters=5000, tol=0.0, tol_res=5e-3, trace_every=1)
+    state, trace = run(problem, graph, AdditiveGaussianOracle(problem, sd=0.1), params, seed=0)
+    assert trace.iterations < params.max_iters
+    assert trace.final_res < params.tol_res
+    # one residual per row, k = 0 .. iterations, and none more in finish
+    assert calls[0] == trace.iterations + 1
+    assert trace.final_res == residual(problem, state.data[: problem.partition.total_dim])
 
 
 def test_diagnostics_pass_without_and_with_noise(monotone_small):
