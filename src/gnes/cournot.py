@@ -210,33 +210,19 @@ class _MarketLayout:
     """Gather metadata: where each market's quantities live in the stack."""
 
     def __init__(self, partition: AgentPartition, participation: tuple, num_markets: int):
-        n = partition.num_agents
-        offsets = [partition.primal_slice(i).start for i in range(n)]
+        self.partition = partition
+        self.offsets = tuple(sl.start for sl in partition.primal_slices)
+        self.widths = tuple(len(row) for row in participation)
         coords = [[] for _ in range(num_markets)]
         for i, markets in enumerate(participation):
             for pos, j in enumerate(markets):
-                coords[j].append(offsets[i] + pos)
-        # ascending firm order per market, identical in both executors
-        self.coords = tuple(np.array(c, dtype=np.int64) for c in coords)
-        self.own_slice = tuple(partition.primal_slice(i) for i in range(n))
-        self.markets = tuple(np.array(m, dtype=np.int64) for m in participation)
-        # flattened gather map per firm: one fancy index plus segment sums
-        # replaces a python loop over that firm's markets
-        gather, bounds = [], []
-        for i in range(n):
-            flat = [self.coords[j] for j in participation[i]]
-            ends = np.cumsum([c.shape[0] for c in flat])
-            gather.append(np.concatenate(flat))
-            bounds.append(np.concatenate(([0], ends[:-1])).astype(np.int64))
-        self._gather = tuple(gather)
-        self._bounds = tuple(bounds)
-        # the same segment sums for all markets at once, and each
-        # coordinate's market, firm offset, firm width and position
-        self.market_gather = np.concatenate(self.coords)
-        self.market_starts = np.cumsum([0] + [c.shape[0] for c in self.coords[:-1]])
-        self.market_of = np.concatenate(self.markets)
-        self.offsets = tuple(sl.start for sl in self.own_slice)
-        self.widths = tuple(m.shape[0] for m in self.markets)
+                coords[j].append(self.offsets[i] + pos)
+        # each market's quantities in ascending firm order, summed as one
+        # segment, and each coordinate's market, firm offset, firm width
+        # and position
+        self.market_gather = np.array([c for row in coords for c in row], dtype=np.int64)
+        self.market_starts = np.cumsum([0] + [len(row) for row in coords[:-1]])
+        self.market_of = np.array([j for row in participation for j in row], dtype=np.int64)
         self._coord_firm_start = np.repeat(self.offsets, self.widths)
         self._coord_width = np.repeat(self.widths, self.widths)
         self._coord_pos = np.concatenate([np.arange(w) for w in self.widths])
@@ -256,27 +242,14 @@ class _MarketLayout:
             self._rows_size = size
         return self._rows_index
 
-    def firm_terms(self, i: int, u: np.ndarray, exponent: float):
-        """Own quantities and the slope factor S~^s + s u S~^(s-1) per served market.
-
-        Aggregates are clamped at zero before the fractional powers so
-        the oracle stays defined when iterates leave the box.
-        """
-        own = u[self.own_slice[i]]
-        totals = np.add.reduceat(u[self._gather[i]], self._bounds[i])
-        np.maximum(totals, 0.0, out=totals)
-        # S^e + e u S^(e-1) factored as S^(e-1) (S + e u); one power
-        factor = np.power(totals, exponent - 1.0)
-        tmp = np.multiply(exponent, own)
-        tmp += totals
-        factor *= tmp
-        return own, factor
-
     def slope_factor(self, u: np.ndarray, exponent: float) -> np.ndarray:
-        """The factor of firm_terms for every coordinate of one point or of rows of points.
+        """S~^s + s u S~^(s-1) for every coordinate of one point or of rows of points.
 
-        Each market's total is summed once, in the same order as in
-        firm_terms, so every entry equals the per-firm factor bit for bit.
+        S~ is the coordinate's market total, clamped at zero before the
+        fractional powers so the oracle stays defined when iterates
+        leave the box. A coordinate reads only the total of its own
+        market, so on a firm's profile (its own and its partners'
+        blocks) its own coordinates get the floats of the full point.
         """
         totals = np.add.reduceat(u[..., self.market_gather], self.market_starts, axis=-1)
         np.maximum(totals, 0.0, out=totals)
@@ -294,19 +267,20 @@ class CournotDemandOracle(SamplingOracle):
     """Gradient sampler with a random demand slope per draw.
 
     Each draw perturbs the slope by a symmetric truncated Gaussian, so
-    a single draw is unbiased for the deterministic gradient. The
-    gradient is affine in the slope, hence the mini-batch average
-    equals one gradient evaluation at the averaged slope; sample_mean
-    exploits that instead of materializing per-draw gradients. A firm
-    draws its (size, width) perturbations row by row from its stream,
-    and each coordinate's size draws are summed as one contiguous row,
-    so the per-firm and the stacked path add them in the same order.
+    a single draw is unbiased for mean_gradient, the instance's
+    pseudogradient. The gradient is affine in the slope, hence the
+    mini-batch average equals one gradient evaluation at the averaged
+    slope; sample_mean exploits that instead of materializing per-draw
+    gradients. A firm takes its rows of slope_factor on its profile
+    and draws its (size, width) perturbations row by row from its
+    stream; _mean sums each coordinate's size draws as one contiguous
+    row, for one firm's rows or for all of them, so the firm path and
+    the stacked path give the same floats.
     """
 
     def __init__(self, layout: _MarketLayout, costs: tuple, config: CournotConfig):
         self._layout = layout
-        self._base = tuple(c - config.demand_q for c in costs)
-        self._base_stack = np.concatenate(self._base)
+        self._base = np.concatenate(costs) - config.demand_q
         self._pbar = config.demand_slope
         self._sd = config.demand_sd
         self._cut = 3.0 * config.demand_sd
@@ -319,74 +293,53 @@ class CournotDemandOracle(SamplingOracle):
         eps += self._pbar
         return eps
 
-    def mean_gradient(self, u: np.ndarray) -> np.ndarray:
-        """Deterministic stacked gradient at one point or at rows of points.
+    def _own_factor(self, agent: int, u: np.ndarray) -> tuple[slice, np.ndarray]:
+        """The agent's slice and its rows of the signed slope factor at u."""
+        own = self._layout.partition.primal_slice(agent)
+        factor = self._layout.slope_factor(u, self._exp)[own]
+        factor *= self._sign
+        return own, factor
 
-        Each entry has the floats of the per-firm gradient oracles.
-        """
-        return self._base_stack - self._sign * self._pbar * self._layout.slope_factor(u, self._exp)
+    def mean_gradient(self, u: np.ndarray) -> np.ndarray:
+        """Deterministic stacked gradient at one point or at rows of points."""
+        return self._base - self._sign * self._pbar * self._layout.slope_factor(u, self._exp)
 
     def sample_gradient_batch(self, agent, u, size, rng):
-        own, factor = self._layout.firm_terms(agent, u, self._exp)
-        slopes = self._slopes(size, own.shape[0], rng)
-        return self._base[agent][None, :] - self._sign * slopes * factor[None, :]
+        own, factor = self._own_factor(agent, u)
+        slopes = self._slopes(size, own.stop - own.start, rng)
+        return self._base[own][None, :] - slopes * factor[None, :]
 
-    def _scale_and_clip(self, eps: np.ndarray):
-        """Standard normal draws to slope perturbations, in place."""
-        eps *= self._sd
-        np.maximum(eps, -self._cut, out=eps)
-        np.minimum(eps, self._cut, out=eps)
+    def _mean(self, draws: np.ndarray, factor: np.ndarray, base: np.ndarray, out=None) -> np.ndarray:
+        """base - factor (pbar + mean slope perturbation), one row of draws per coordinate.
 
-    def sample_mean(self, agent, u, size, rng):
-        own, factor = self._layout.firm_terms(agent, u, self._exp)
-        factor *= self._sign
-        width = own.shape[0]
-        eps = rng.standard_normal(size * width)
-        self._scale_and_clip(eps)
+        draws holds standard normal draws and is scaled and clipped in
+        place.
+        """
+        draws *= self._sd
+        np.maximum(draws, -self._cut, out=draws)
+        np.minimum(draws, self._cut, out=draws)
         # mean slope without materializing the per-draw shift by pbar
-        mean_slope = np.add.reduce(eps.reshape(size, width).T.copy(), axis=1)
-        mean_slope /= size
+        mean_slope = np.add.reduce(draws, axis=1)
+        mean_slope /= draws.shape[1]
         mean_slope += self._pbar
         mean_slope *= factor
-        np.subtract(self._base[agent], mean_slope, out=mean_slope)
-        return mean_slope
+        return np.subtract(base, mean_slope, out=out)
+
+    def sample_mean(self, agent, u, size, rng):
+        own, factor = self._own_factor(agent, u)
+        draws = rng.standard_normal((size, own.stop - own.start)).T.copy()
+        return self._mean(draws, factor, self._base[own])
 
     def sample_mean_stack(self, u, size, streams, iteration, phase, out, partition):
-        # sample_mean for all firms at once: only the draws go firm by
-        # firm; every other operation is elementwise or the same
-        # per-coordinate row sum, so the result is bit identical to the
-        # firm-by-firm path the agent nodes take
+        # sample_mean for all firms at once: only the draws go firm by firm
         layout = self._layout
-        factor = layout.slope_factor(u, self._exp)
-        factor *= self._sign
         eps = np.empty(size * u.shape[0])
         for i, (start, width) in enumerate(zip(layout.offsets, layout.widths)):
             rng = streams.generator(i, iteration, phase)
             rng.standard_normal(out=eps[start * size : (start + width) * size])
-        self._scale_and_clip(eps)
-        mean_slope = np.add.reduce(eps[layout.draw_rows(size)], axis=1)
-        mean_slope /= size
-        mean_slope += self._pbar
-        mean_slope *= factor
-        np.subtract(self._base_stack, mean_slope, out=out)
-
-
-def _make_gradients(layout: _MarketLayout, costs: tuple, config: CournotConfig) -> tuple:
-    sign = config.demand_sign
-    q = config.demand_q
-    pbar = config.demand_slope
-    exp = config.demand_exponent
-
-    def make(i: int):
-        ci = costs[i]
-
-        def grad(u: np.ndarray) -> np.ndarray:
-            _, factor = layout.firm_terms(i, u, exp)
-            return ci - q - sign * pbar * factor
-
-        return grad
-
-    return tuple(make(i) for i in range(len(costs)))
+        factor = layout.slope_factor(u, self._exp)
+        factor *= self._sign
+        self._mean(eps[layout.draw_rows(size)], factor, self._base, out=out)
 
 
 def estimate_lipschitz(
@@ -495,14 +448,13 @@ def generate(config: CournotConfig | None = None) -> tuple[GameProblem, CournotD
     )
     problem = GameProblem(
         partition=part,
-        grad_f=_make_gradients(layout, costs, config),
+        pseudogradient=oracle.mean_gradient,
         D=tuple(d_mats),
         b=tuple(share.copy() for _ in range(n)),
         box_lo=tuple(np.zeros(k) for k in dims),
         box_hi=caps,
         lipschitz_ell=ell,
         interaction=tuple(interaction),
-        stacked_grad=oracle.mean_gradient,
     )
     if config.graph == "erdos-renyi":
         graph = generate_graph(config.graph, n, p=config.graph_p, seed=config.seed + 1_000_003)

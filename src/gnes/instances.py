@@ -3,7 +3,7 @@
 An instance document is a JSON-ready dict that fully describes a game.
 Two kinds exist:
 
-  {"kind": "affine", ...}   embeds the gradient field F(u) = M u + q
+  {"kind": "affine", ...}   embeds the pseudogradient F(u) = M u + q
                             row-major together with boxes, constraint
                             blocks, and a graph spec;
   {"kind": "cournot", "config": {...}}
@@ -22,8 +22,8 @@ import copy
 
 import numpy as np
 
-from .blockvec import AgentPartition
-from .cournot import CournotConfig, generate
+from .blockvec import AgentPartition, OrderedRows
+from .cournot import CournotConfig, _is_integer, _is_list, _is_number, generate
 from .errors import ConfigurationError
 from .graph import CommGraph, generate_graph, largest_eigenvalue_psd
 from .operators import GameProblem
@@ -32,7 +32,6 @@ __all__ = [
     "BUILTINS",
     "builtin_document",
     "load_document",
-    "affine_gradients",
 ]
 
 
@@ -144,37 +143,23 @@ def builtin_document(name: str) -> dict:
     return copy.deepcopy(_BUILTIN_DOCS[name])
 
 
-def affine_gradients(m_mat: np.ndarray, q: np.ndarray, partition: AgentPartition) -> tuple:
-    """Per-agent closures of the affine field F(u) = M u + q."""
-
-    def make(i: int):
-        rows = np.ascontiguousarray(m_mat[partition.primal_slice(i), :])
-        qi = q[partition.primal_slice(i)].copy()
-
-        def grad(u: np.ndarray) -> np.ndarray:
-            return rows @ u + qi
-
-        return grad
-
-    return tuple(make(i) for i in range(partition.num_agents))
-
-
-def _graph_from_spec(spec: dict, n: int) -> CommGraph:
+def _graph_from_spec(spec, n: int) -> CommGraph:
+    if not isinstance(spec, dict):
+        raise ConfigurationError("graph spec must be a mapping", field="graph")
     if "weights" in spec:
-        return CommGraph(np.asarray(spec["weights"], dtype=np.float64))
+        return CommGraph(_numbers(spec["weights"], "graph", (n, n)))
     name = spec.get("name")
     if name is None:
         raise ConfigurationError(
             "graph spec needs either a weights matrix or a generator name",
             field="graph",
         )
-    return generate_graph(
-        name,
-        n,
-        p=spec.get("p"),
-        seed=spec.get("seed"),
-        weight=float(spec.get("weight", 1.0)),
-    )
+    p, seed, weight = spec.get("p"), spec.get("seed"), spec.get("weight", 1.0)
+    if not ((p is None or _is_number(p)) and (seed is None or _is_integer(seed)) and _is_number(weight)):
+        raise ConfigurationError(
+            "graph p and weight must be numbers and its seed an integer", field="graph"
+        )
+    return generate_graph(name, n, p=p, seed=seed, weight=float(weight))
 
 
 def _require(doc: dict, key: str):
@@ -183,32 +168,62 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _build_affine(doc: dict) -> tuple[GameProblem, CommGraph]:
-    dims = tuple(int(v) for v in _require(doc, "dims"))
-    m = int(_require(doc, "num_constraints"))
-    part = AgentPartition(dims, m)
-    d = part.total_dim
-    m_mat = np.asarray(_require(doc, "M"), dtype=np.float64)
-    q = np.asarray(_require(doc, "q"), dtype=np.float64)
-    if m_mat.shape != (d, d) or q.shape != (d,):
+def _numbers(value, key: str, shape: tuple, infinite: bool = False) -> np.ndarray:
+    """value as a float array of the given shape; numbers only, finite unless infinite is set."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape:
+        raise ConfigurationError(f"{key} must be a numeric array of shape {shape}", field=key)
+    arr = arr.astype(np.float64)
+    if np.any(np.isnan(arr)) or not (infinite or np.all(np.isfinite(arr))):
         raise ConfigurationError(
-            f"affine field needs M of shape ({d}, {d}) and q of length {d}",
-            field="M",
+            f"{key} must be {'free of NaN' if infinite else 'finite'}", field=key
         )
-    box_lo = tuple(np.asarray(v, dtype=np.float64) for v in _require(doc, "box_lo"))
-    box_hi = tuple(np.asarray(v, dtype=np.float64) for v in _require(doc, "box_hi"))
-    d_mats = tuple(np.asarray(v, dtype=np.float64) for v in _require(doc, "D"))
-    b = tuple(np.asarray(v, dtype=np.float64) for v in _require(doc, "b"))
+    return arr
+
+
+def _blocks(doc: dict, key: str, shapes: list, infinite: bool = False) -> tuple:
+    """doc[key] as one numeric array per agent, of the given shapes."""
+    value = _require(doc, key)
+    if not _is_list(value) or len(value) != len(shapes):
+        raise ConfigurationError(f"{key} needs one entry per agent", field=key)
+    return tuple(_numbers(v, key, shape, infinite) for v, shape in zip(value, shapes))
+
+
+def _build_affine(doc: dict) -> tuple[GameProblem, CommGraph]:
+    dims = _require(doc, "dims")
+    m = _require(doc, "num_constraints")
+    if not (_is_list(dims) and all(_is_integer(k) for k in dims)):
+        raise ConfigurationError("dims must be a list of integers", field="dims")
+    if not _is_integer(m):
+        raise ConfigurationError("num_constraints must be an integer", field="num_constraints")
+    part = AgentPartition(tuple(dims), m)
+    d = part.total_dim
+    m_mat = _numbers(_require(doc, "M"), "M", (d, d))
+    q = _numbers(_require(doc, "q"), "q", (d,))
     ell = doc.get("lipschitz_ell")
     if ell is None:
         ell = float(np.sqrt(largest_eigenvalue_psd(m_mat.T @ m_mat)))
+    elif not _is_number(ell):
+        raise ConfigurationError("lipschitz_ell must be a finite number", field="lipschitz_ell")
+    rows = OrderedRows.from_dense(m_mat)
+
+    def pseudogradient(u: np.ndarray) -> np.ndarray:
+        # each row summed in column order, so an agent's rows evaluated
+        # on its own profile are the floats of the same rows here
+        out = rows(u)
+        out += q
+        return out
+
     problem = GameProblem(
         partition=part,
-        grad_f=affine_gradients(m_mat, q, part),
-        D=d_mats,
-        b=b,
-        box_lo=box_lo,
-        box_hi=box_hi,
+        pseudogradient=pseudogradient,
+        D=_blocks(doc, "D", [(m, k) for k in dims]),
+        b=_blocks(doc, "b", [(m,)] * len(dims)),
+        box_lo=_blocks(doc, "box_lo", [(k,) for k in dims], infinite=True),
+        box_hi=_blocks(doc, "box_hi", [(k,) for k in dims], infinite=True),
         lipschitz_ell=float(ell),
     )
     graph = _graph_from_spec(_require(doc, "graph"), part.num_agents)

@@ -1,7 +1,9 @@
 """Game data, the extended primal-dual operator, and residual machinery.
 
-A game instance holds per-agent cost gradients, local box constraints,
-and the agent slices D_i, b_i of the shared affine constraint D u <= b.
+A game instance holds its pseudogradient F in stacked form (agent i's
+partial gradient in block i), local box constraints, and the agent
+slices D_i, b_i of the shared affine constraint D u <= b. An agent's
+gradient is its own rows of that one kernel.
 The extended operator V acts on states x = (u, mu, lambda) and couples
 agents through the constraint blocks and the communication Laplacian:
 
@@ -46,35 +48,33 @@ class GameProblem:
     ----------
     partition : AgentPartition
         Block structure of the decision vector.
-    grad_f : sequence of callables
-        grad_f[i](u) maps the full decision vector to agent i's partial
-        gradient, shape (dims[i],). It may only read the blocks of
-        agent i and of the agents listed in interaction[i].
+    pseudogradient : callable
+        Maps the full decision vector u to F(u), shape (total_dim,),
+        with agent i's partial gradient in block i. Block i may only
+        read the blocks of agent i and of the agents listed in
+        interaction[i]; an agent evaluates F on a profile that holds
+        just those blocks and keeps its own rows.
     D : sequence of arrays
         Agent slices of the constraint matrix, D[i] has shape (m, dims[i]).
     b : sequence of arrays
         Agent shares b_i of the constraint offset, each shape (m,).
         The shared constraint is D u <= sum_i b_i.
     box_lo, box_hi : sequences of arrays
-        Local box bounds per agent, shape (dims[i],).
+        Local box bounds per agent, shape (dims[i],); infinite bounds
+        are allowed, NaN is not.
     lipschitz_ell : float
-        Lipschitz constant of the stacked gradient map F.
+        Lipschitz constant of F.
     prox_g : sequence of callables or None
         Optional custom prox oracles prox_g[i](v, gamma). The default
         is the projection onto the local box, which any custom oracle
         must also map into.
     interaction : tuple of arrays or None
-        interaction[i] lists the agents (not i) whose blocks grad_f[i]
-        reads. None means everyone interacts with everyone.
-    stacked_grad : callable or None
-        Optional vectorised F, set by an instance builder: maps u to
-        the stacked gradient, shape (total_dim,), with the floats of
-        the per-agent grad_f in their blocks. None assembles F from
-        grad_f agent by agent.
+        interaction[i] lists the agents (not i) whose blocks agent i's
+        rows of F read. None means everyone interacts with everyone.
     """
 
     partition: AgentPartition
-    grad_f: tuple
+    pseudogradient: Callable[[np.ndarray], np.ndarray]
     D: tuple
     b: tuple
     box_lo: tuple
@@ -82,15 +82,12 @@ class GameProblem:
     lipschitz_ell: float
     prox_g: tuple | None = None
     interaction: tuple | None = None
-    stacked_grad: Callable[[np.ndarray], np.ndarray] | None = None
     d_norm: float = field(init=False)
 
     def __post_init__(self):
         part = self.partition
         n = part.num_agents
         m = part.constraint_dim
-        if len(self.grad_f) != n:
-            raise DimensionMismatchError("need one gradient oracle per agent", block="grad_f")
         self.D = tuple(np.ascontiguousarray(Di, dtype=np.float64) for Di in self.D)
         self.b = tuple(np.asarray(bi, dtype=np.float64).ravel() for bi in self.b)
         if len(self.D) != n or len(self.b) != n:
@@ -109,12 +106,16 @@ class GameProblem:
                 raise ConfigurationError("constraint data must be finite", field=f"agent {i}")
         lo = tuple(np.asarray(v, dtype=np.float64).ravel() for v in self.box_lo)
         hi = tuple(np.asarray(v, dtype=np.float64).ravel() for v in self.box_hi)
+        if len(lo) != n or len(hi) != n:
+            raise DimensionMismatchError("need box bounds for every agent", block="box")
         for i in range(n):
             if lo[i].shape != (part.dims[i],) or hi[i].shape != (part.dims[i],):
                 raise DimensionMismatchError(
                     f"box bounds of agent {i} must have shape ({part.dims[i]},)",
                     block=f"agent {i}",
                 )
+            if np.any(np.isnan(lo[i])) or np.any(np.isnan(hi[i])):
+                raise ConfigurationError(f"NaN box bound for agent {i}", field=f"agent {i}")
             if np.any(lo[i] > hi[i]):
                 raise ConfigurationError(f"empty box for agent {i}", field=f"agent {i}")
         self.box_lo = lo
@@ -171,39 +172,31 @@ class GameProblem:
         return self.prox_g is not None
 
     def gradient(self, i: int, u: np.ndarray) -> np.ndarray:
-        """Agent i's partial gradient with a finiteness guard."""
-        g = np.asarray(self.grad_f[i](u), dtype=np.float64)
-        if g.shape != (self.partition.dims[i],):
-            raise DimensionMismatchError(
-                f"gradient of agent {i} has shape {g.shape}", block=f"agent {i}"
-            )
+        """Agent i's rows of F(u); its shape and finiteness errors name the agent."""
+        sl = self.partition.primal_slice(i)
+        g = self._evaluate(u, f"agent {i}")[sl]
         if not np.all(np.isfinite(g)):
             raise NumericError("gradient evaluation produced a non-finite value", agent=i)
         return g
 
     def stacked_gradient(self, u: np.ndarray) -> np.ndarray:
-        """Pseudogradient F(u), every agent's partial gradient in its block.
-
-        Errors are those of gradient: a non-finite block raises
-        NumericError naming its agent.
-        """
-        part = self.partition
-        if self.stacked_grad is None:
-            out = np.empty(part.total_dim)
-            for i in range(part.num_agents):
-                out[part.primal_slice(i)] = self.gradient(i, u)
-            return out
-        out = np.asarray(self.stacked_grad(u), dtype=np.float64)
-        if out.shape != (part.total_dim,):
-            raise DimensionMismatchError(
-                f"stacked gradient has shape {out.shape}", block="stacked_grad"
-            )
+        """Pseudogradient F(u); a non-finite block raises NumericError naming its agent."""
+        out = self._evaluate(u, "pseudogradient")
         # a bad entry propagates through the sum; its block is located
         # only on failure (an overflowing sum of finite entries passes)
         if not math.isfinite(float(out.sum())):
-            for i, sl in enumerate(part.primal_slices):
+            for i, sl in enumerate(self.partition.primal_slices):
                 if not np.all(np.isfinite(out[sl])):
                     raise NumericError("gradient evaluation produced a non-finite value", agent=i)
+        return out
+
+    def _evaluate(self, u: np.ndarray, block: str) -> np.ndarray:
+        out = np.asarray(self.pseudogradient(u), dtype=np.float64)
+        d = self.partition.total_dim
+        if out.shape != (d,):
+            raise DimensionMismatchError(
+                f"pseudogradient has shape {out.shape}, expected ({d},)", block=block
+            )
         return out
 
 

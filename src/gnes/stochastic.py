@@ -140,10 +140,11 @@ class SamplingOracle:
     def sample_mean_stack(self, u, size, streams, iteration, phase, out, partition):
         """Write every agent's sample_mean into the stacked buffer.
 
-        Overrides must produce the same floats as this loop, draw for
-        draw, because the networked executor samples firm by firm
-        through sample_mean while the single-process solver goes
-        through here.
+        The single-process solver samples through here and an agent node
+        through sample_mean, so an override gives this loop's floats,
+        draw for draw. The oracles below do so by evaluating F once and
+        keeping, for each agent, the arithmetic of its sample_mean on
+        its own rows.
         """
         slices = partition.primal_slices
         for i in range(len(slices)):
@@ -167,8 +168,7 @@ class ZeroNoiseOracle(SamplingOracle):
         return self.problem.gradient(agent, u)
 
     def sample_mean_stack(self, u, size, streams, iteration, phase, out, partition):
-        # F(u) in one call, with the floats of the per-agent loop; no
-        # stream is keyed, since nothing is drawn
+        # F(u) in one call; no stream is keyed, since nothing is drawn
         out[...] = self.problem.stacked_gradient(u)
 
 
@@ -190,6 +190,14 @@ class AdditiveGaussianOracle(SamplingOracle):
         # so one draw per coordinate replaces size of them
         g = self.problem.gradient(agent, u)
         return g + rng.normal(0.0, self.sd / math.sqrt(size), size=g.shape[0])
+
+    def sample_mean_stack(self, u, size, streams, iteration, phase, out, partition):
+        # F(u) in one call, then each agent's noise from its own stream
+        # added to its slice: the floats of sample_mean agent by agent
+        out[...] = self.problem.stacked_gradient(u)
+        sd = self.sd / math.sqrt(size)
+        for i, sl in enumerate(partition.primal_slices):
+            out[sl] += streams.generator(i, iteration, phase).normal(0.0, sd, size=sl.stop - sl.start)
 
 
 def sample_F_hat(

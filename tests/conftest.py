@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from gnes.blockvec import AgentPartition
+from gnes.blockvec import AgentPartition, OrderedRows
 from gnes.errors import ConfigurationError
 from gnes.graph import CommGraph
 from gnes.instances import builtin_document, load_document
@@ -61,7 +61,7 @@ def scalar_game(m_val=1.0, q_val=0.0, lo=-10.0, hi=10.0, d_row=0.0, b_val=0.0):
     q = float(q_val)
     problem = GameProblem(
         partition=part,
-        grad_f=(lambda u: m * u[:1] + q,),
+        pseudogradient=lambda u: m * u + q,
         D=(np.array([[d_row]]),),
         b=(np.array([b_val]),),
         box_lo=(np.array([lo]),),
@@ -80,17 +80,15 @@ def random_affine_game(rng, dims=(2, 1, 2), m=2):
     a = rng.normal(size=(d, d)) * 0.3
     m_mat = a - a.T + np.eye(d) * (1.0 + rng.random())
     q = rng.normal(size=d)
-
-    def make(i):
-        rows = m_mat[part.primal_slice(i), :].copy()
-        qi = q[part.primal_slice(i)].copy()
-        return lambda u: rows @ u + qi
+    # summed row by row in column order, so an agent's rows are the same
+    # floats whether F is evaluated on the full point or on its profile
+    rows = OrderedRows.from_dense(m_mat)
 
     d_mats = tuple(rng.normal(size=(m, part.dims[i])) for i in range(n))
     b = tuple(np.abs(rng.normal(size=m)) + 0.5 for _ in range(n))
     problem = GameProblem(
         partition=part,
-        grad_f=tuple(make(i) for i in range(n)),
+        pseudogradient=lambda u: rows(u) + q,
         D=d_mats,
         b=b,
         box_lo=tuple(-np.ones(part.dims[i]) for i in range(n)),

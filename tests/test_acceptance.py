@@ -201,6 +201,7 @@ def test_c7_laplacian_degree_bounds():
         assert degree <= graph.lap_norm <= 2.0 * degree + 1e-12
 
 
+@pytest.mark.slow
 def test_c8_market_benchmark_ordering():
     t0 = time.perf_counter()
     ordered = 0

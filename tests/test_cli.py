@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import stat
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from gnes.cli import RunConfig, main, parse_config, serialize_config
 from gnes.errors import ConfigurationError
+from gnes.instances import builtin_document
 
 
 def base_doc(**overrides):
@@ -158,6 +160,61 @@ def test_config_type_error_exits_2_with_json_error(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigurationError"
         assert err["field"] == field
+
+
+def _affine_doc(**changes):
+    """affine-monotone-small with keys replaced, or dropped when the value is None."""
+    doc = builtin_document("affine-monotone-small")
+    for key, value in changes.items():
+        if value is None:
+            doc.pop(key)
+        else:
+            doc[key] = value
+    return doc
+
+
+_M = builtin_document("affine-monotone-small")["M"]
+_MALFORMED_AFFINE = {
+    "string in M": (_affine_doc(M=[["x"] + _M[0][1:]] + _M[1:]), "M"),
+    "ragged M": (_affine_doc(M=[_M[0][:-1]] + _M[1:]), "M"),
+    "M not a matrix": (_affine_doc(M={"a": 1.0}), "M"),
+    "NaN in M": (_affine_doc(M=[[math.nan] + _M[0][1:]] + _M[1:]), "M"),
+    "infinite M": (_affine_doc(M=[[math.inf] + _M[0][1:]] + _M[1:]), "M"),
+    "NaN in q": (_affine_doc(q=[math.nan, -1.0, -1.5, -1.0, -1.0, -0.5]), "q"),
+    "short q": (_affine_doc(q=[-2.0, -1.0]), "q"),
+    "dims a string": (_affine_doc(dims="abc"), "dims"),
+    "fractional dims": (_affine_doc(dims=[2.5, 2, 1.5]), "dims"),
+    "boolean dims": (_affine_doc(dims=[True, 2, 2]), "dims"),
+    "num_constraints a string": (_affine_doc(num_constraints="two"), "num_constraints"),
+    "lipschitz_ell a string": (_affine_doc(lipschitz_ell="x"), "lipschitz_ell"),
+    "short box_lo": (_affine_doc(box_lo=[[0.0, 0.0], [0.0, 0.0]]), "box_lo"),
+    "string box entry": (_affine_doc(box_hi=[[1.0, 1.0], [1.0, 1.0], "x"]), "box_hi"),
+    "NaN box bound": (_affine_doc(box_hi=[[math.nan, 1.0], [1.0, 1.0], [1.0, 1.0]]), "box_hi"),
+    "string in b": (_affine_doc(b=[["a", 4.0], [0.4, 4.0], [0.4, 4.0]]), "b"),
+    "missing D": (_affine_doc(D=None), "D"),
+    "graph weights a string": (_affine_doc(graph={"weights": "abc"}), "graph"),
+    "graph weight a string": (_affine_doc(graph={"name": "ring", "weight": "heavy"}), "graph"),
+    "graph not a mapping": (_affine_doc(graph=3), "graph"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_AFFINE))
+def test_malformed_affine_document_exits_2_with_json_error(tmp_path, capsys, name):
+    doc, field = _MALFORMED_AFFINE[name]
+    out = tmp_path / "o"
+    path = write_config(tmp_path, base_doc(problem={"instance": doc}, out=str(out)))
+    assert main(["run", "--config", path]) == 2
+    text = capsys.readouterr().err
+    assert "Traceback" not in text
+    err = json.loads(text)
+    assert (err["error"], err["field"]) == ("ConfigurationError", field)
+    assert not out.exists()
+
+
+def test_infinite_box_bound_in_affine_document_runs(tmp_path, capsys):
+    doc = _affine_doc(box_lo=[[-math.inf, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    path = write_config(tmp_path, base_doc(problem={"instance": doc}, out=str(tmp_path / "o")))
+    assert main(["run", "--config", path]) == 0
 
 
 @pytest.mark.parametrize("settings,field", [

@@ -230,10 +230,6 @@ def test_row_evaluation_matches_single_points():
         per_firm = np.concatenate([problem.gradient(i, pts[t]) for i in range(part.num_agents)])
         assert np.array_equal(gradients[t], per_firm)
         assert np.array_equal(problem.stacked_gradient(pts[t]), per_firm)
-        for i in range(part.num_agents):
-            own, factor = layout.firm_terms(i, pts[t], e)
-            assert np.array_equal(own, pts[t, part.primal_slice(i)])
-            assert np.array_equal(factor, single[part.primal_slice(i)])
 
 
 def test_lipschitz_probe_row_path_matches_loop():

@@ -3,7 +3,10 @@
 The values were printed by the tree before the two executors shared one
 iteration loop, and every later change must reproduce them, on both
 executors. A change that is meant to move the floats (a new kernel, a
-different summation order) updates them on purpose and says so.
+different summation order) updates them on purpose and says so. The
+AFFINE and DIAGNOSTICS values were updated once that way, when the affine
+F(u) = M u + q became one OrderedRows of M, which sums each row in column
+order; MARKET has not moved.
 """
 
 import hashlib
@@ -19,18 +22,18 @@ from gnes.stochastic import AdditiveGaussianOracle, BatchSchedule
 from conftest import load_builtin
 
 AFFINE = {
-    "risfbf": "24af8908310f6fbe9c8842d5966db795200670b3cecc56b914ae940d975bc4cf",
-    "sfbf": "fa4ec537a6a8d691cc74cb18845aad68bf6bce0cb73805e5fd6d2b5630edcacd",
-    "sfb": "aead96698bf3ba33eab2f278c1b972a6ae40bf1e13190ca22c0f9f50696ba1b7",
+    "risfbf": "c5467a278badd135d848d75d3dfcf6f999a66133103c4298e2c9a2ab59301ef7",
+    "sfbf": "79e990698a220c83e6921ea9e5c5fceefbb7073684dee0715f5a9af9a10130c3",
+    "sfb": "03af878adca4ffb6786c1e9821947632c46fabbed3a1ba5e490849aca4f83352",
 }
 MARKET = {
     "risfbf": "1e2e1f46e4c340c5722888d8cc3735fb425a8a244b2db478b379a6a2498d8292",
     "sfb": "cb9b4462e72ec2b4edc9c6ad099733e2ff5601c2aa144e585bc8fa028fa1c1ba",
 }
 DIAGNOSTICS = (
-    "8e22d31e5432df54d5a0d17f93e9375da204557c4bb2b39fec4486ad7979e5e6",
+    "77c8707b32d3b18aefceb0af716fab2eb34102190a9034ee44bddfa219ea81e2",
     # sha256 over the bytes of every Z, then every Y, U and W
-    "366b5f92688b4a44535e3bc7ba3d825470f5916734407360efa78e79d7f89424",
+    "4bf54d41b8801b98aabab46214286173a3ee2594c7a4d6253eec8529015c56fc",
 )
 
 

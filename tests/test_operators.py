@@ -25,10 +25,7 @@ def two_agent_game():
     part = AgentPartition((1, 1), 1)
     problem = GameProblem(
         partition=part,
-        grad_f=(
-            lambda u: 2.0 * u[0:1] - 1.0,
-            lambda u: 2.0 * u[1:2] - 1.0,
-        ),
+        pseudogradient=lambda u: 2.0 * u - 1.0,
         D=(np.array([[1.0]]), np.array([[1.0]])),
         b=(np.array([0.5]), np.array([0.5])),
         box_lo=(np.zeros(1), np.zeros(1)),
@@ -184,7 +181,7 @@ def test_projection_rejects_infeasible_zero_row():
     part = AgentPartition((1,), 1)
     problem = GameProblem(
         partition=part,
-        grad_f=(lambda u: u[:1],),
+        pseudogradient=lambda u: u.copy(),
         D=(np.array([[0.0]]),),
         b=(np.array([-1.0]),),
         box_lo=(np.zeros(1),),
@@ -199,7 +196,7 @@ def test_projection_rejects_row_unreachable_in_box():
     part = AgentPartition((2,), 1)
     problem = GameProblem(
         partition=part,
-        grad_f=(lambda u: u.copy(),),
+        pseudogradient=lambda u: u.copy(),
         D=(np.array([[1.0, -1.0]]),),
         b=(np.array([-1.5]),),
         box_lo=(np.zeros(2),),
@@ -345,36 +342,65 @@ def test_stacked_gradient_stacks_agent_gradients(monotone_small):
     assert np.array_equal(ExtendedOperator(problem, graph).v_flat(x)[: part.total_dim], out)
 
 
-def test_stacked_kernel_errors_match_the_agent_loop(monotone_small):
+def test_pseudogradient_errors_name_the_agent(monotone_small):
     problem, _ = monotone_small
     part = problem.partition
     u = np.linspace(-1.0, 1.0, part.total_dim)
-    loop = problem.stacked_gradient(u)
+    exact = problem.stacked_gradient(u)
 
     def poisoned(v):
-        out = loop.copy()
+        out = exact.copy()
         out[part.primal_slice(2).start] = np.nan
         return out
 
-    assert np.array_equal(dataclasses.replace(problem, stacked_grad=lambda v: loop).stacked_gradient(u), loop)
+    bad = dataclasses.replace(problem, pseudogradient=poisoned)
     with pytest.raises(NumericError) as info:
-        dataclasses.replace(problem, stacked_grad=poisoned).stacked_gradient(u)
+        bad.stacked_gradient(u)
     assert info.value.agent == 2
-    short = dataclasses.replace(problem, stacked_grad=lambda v: loop[:-1])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(NumericError) as info:
+        bad.gradient(2, u)
+    assert info.value.agent == 2
+    # an agent reads only its own rows, so another agent's NaN is not its error
+    assert np.array_equal(bad.gradient(0, u), exact[part.primal_slice(0)])
+    short = dataclasses.replace(problem, pseudogradient=lambda v: exact[:-1])
+    with pytest.raises(DimensionMismatchError) as info:
         short.stacked_gradient(u)
-    # finite entries whose sum overflows are not an error, as in the loop
+    assert info.value.block == "pseudogradient"
+    with pytest.raises(DimensionMismatchError) as info:
+        short.gradient(1, u)
+    assert info.value.block == "agent 1"
+    # finite entries whose sum overflows are not an error
     huge = np.full(part.total_dim, 1e308)
     with np.errstate(over="ignore"):
-        got = dataclasses.replace(problem, stacked_grad=lambda v: huge).stacked_gradient(u)
+        got = dataclasses.replace(problem, pseudogradient=lambda v: huge).stacked_gradient(u)
     assert np.array_equal(got, huge)
+
+
+def test_agent_index_out_of_range_is_a_dimension_error(monotone_small):
+    from gnes.cournot import CournotConfig, generate
+
+    problem, _ = monotone_small
+    u = np.zeros(problem.partition.total_dim)
+    market, demand, _ = generate(CournotConfig(seed=0))
+    q = np.full(market.partition.total_dim, 10.0)
+    rng = np.random.default_rng(0)
+    for agent in (-1, problem.num_agents):
+        with pytest.raises(DimensionMismatchError):
+            problem.gradient(agent, u)
+    for agent in (-1, market.num_agents):
+        with pytest.raises(DimensionMismatchError):
+            market.gradient(agent, q)
+        with pytest.raises(DimensionMismatchError):
+            demand.sample_mean(agent, q, 4, rng)
+        with pytest.raises(DimensionMismatchError):
+            demand.sample_gradient_batch(agent, q, 4, rng)
 
 
 def test_problem_validation_errors():
     part = AgentPartition((1, 1), 1)
     kwargs = dict(
         partition=part,
-        grad_f=(lambda u: u[0:1], lambda u: u[1:2]),
+        pseudogradient=lambda u: u.copy(),
         D=(np.array([[1.0]]), np.array([[1.0]])),
         b=(np.array([0.5]), np.array([0.5])),
         box_lo=(np.zeros(1), np.zeros(1)),
@@ -383,7 +409,7 @@ def test_problem_validation_errors():
     )
     GameProblem(**kwargs)  # baseline constructs
 
-    bad = dict(kwargs, grad_f=(lambda u: u[0:1],))
+    bad = dict(kwargs, box_lo=(np.zeros(1),))
     with pytest.raises(DimensionMismatchError):
         GameProblem(**bad)
     bad = dict(kwargs, D=(np.array([[1.0, 0.0]]), np.array([[1.0]])))
@@ -395,6 +421,13 @@ def test_problem_validation_errors():
     bad = dict(kwargs, box_lo=(np.ones(1) * 2.0, np.zeros(1)))
     with pytest.raises(ConfigurationError):
         GameProblem(**bad)
+    for box in ("box_lo", "box_hi"):
+        bad = dict(kwargs, **{box: (np.zeros(1), np.array([np.nan]))})
+        with pytest.raises(ConfigurationError) as info:
+            GameProblem(**bad)
+        assert info.value.field == "agent 1"
+    # infinite bounds are allowed
+    GameProblem(**dict(kwargs, box_lo=(np.array([-np.inf]), np.zeros(1))))
     bad = dict(kwargs, lipschitz_ell=-1.0)
     with pytest.raises(ConfigurationError):
         GameProblem(**bad)

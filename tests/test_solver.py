@@ -9,7 +9,6 @@ import pytest
 from gnes.blockvec import AgentPartition, PrimalDualState
 from gnes import solver
 from gnes.agentnet import run_distributed
-from gnes.cournot import CournotConfig, generate
 from gnes.errors import ConfigurationError, NumericError, ToleranceError
 from gnes.operators import ExtendedOperator
 from gnes.solver import (
@@ -203,16 +202,6 @@ def test_reference_solves(name):
     assert trace.r_psi[-1] <= trace.r_psi[0]
     running_min = np.minimum.accumulate(trace.r_psi)
     assert running_min[-1] < 1e-10
-
-
-def test_market_reference_solve_is_the_same_with_and_without_the_stacked_kernel():
-    problem, _, graph = generate(CournotConfig(seed=0))
-    assert problem.stacked_grad is not None
-    state, trace = solve_ground_truth(problem, graph)
-    looped, looped_trace = solve_ground_truth(dataclasses.replace(problem, stacked_grad=None), graph)
-    assert trace.iterations == looped_trace.iterations
-    assert np.array_equal(state.data, looped.data)
-    assert trace.state_hash == looped_trace.state_hash
 
 
 def test_reference_solve_raises_when_budget_too_small(monotone_small):

@@ -265,7 +265,7 @@ def test_noise_bound_requires_finite_box():
 
     problem = GameProblem(
         partition=part,
-        grad_f=(lambda u: u[:1],),
+        pseudogradient=lambda u: u.copy(),
         D=(np.array([[1.0]]),),
         b=(np.array([1.0]),),
         box_lo=(np.array([-np.inf]),),
