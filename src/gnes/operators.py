@@ -143,16 +143,14 @@ class GameProblem:
         self.hi_stack = np.concatenate(hi)
         self.D_stack = np.hstack(self.D)
         self.b_total = np.sum(np.stack(self.b), axis=0)
-        # per constraint row: its nonzero columns with their entries and
-        # box bounds, and the least value D_r u takes on the box
-        self.row_support = tuple(
-            (cols, row[cols], self.lo_stack[cols], self.hi_stack[cols])
-            for row in self.D_stack
-            for cols in (np.flatnonzero(row),)
-        )
-        self.row_floor = np.array([
-            float(np.minimum(a * lo_r, a * hi_r).sum()) for _, a, lo_r, hi_r in self.row_support
-        ])
+        # the rows in groups on pairwise disjoint columns, and the least
+        # value D_r u takes on the box
+        self.row_groups = _disjoint_row_groups(self.D_stack, self.lo_stack, self.hi_stack)
+        self.row_floor = np.zeros(m)
+        for grp in self.row_groups:
+            self.row_floor[grp.rows] = np.bincount(
+                grp.seg, np.minimum(grp.a * grp.lo, grp.a * grp.hi), grp.rows.size
+            )
         small = min(self.D_stack.shape)
         gram = self.D_stack @ self.D_stack.T if small == m else self.D_stack.T @ self.D_stack
         self.d_norm = float(np.sqrt(max(largest_eigenvalue_psd(gram), 0.0)))
@@ -291,6 +289,52 @@ class ExtendedOperator:
         return float(np.linalg.norm(x - y))
 
 
+class _RowGroup:
+    """Constraint rows whose column supports are pairwise disjoint.
+
+    The supports are stored flat, row after row: entry j is column
+    cols[j] of row rows[seg[j]], with coefficient a[j] and box bounds
+    lo[j], hi[j]; entry_rows[j] is that row's index in D. For the
+    breakpoint pass each entry has two kinks, on row seg2, at the times
+    (base_j - bounds) / a2 where it meets lo and hi; the slope of g
+    changes there by +a_j^2 when the coordinate stops at a bound and by
+    -a_j^2 when it starts to move (kinks).
+    """
+
+    __slots__ = ("rows", "cols", "a", "lo", "hi", "seg", "entry_rows", "seg2", "a2", "bounds", "kinks")
+
+    def __init__(self, rows: list, D: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        self.rows = np.array(rows, dtype=np.intp)
+        seg, cols = np.nonzero(D[self.rows])
+        self.seg = seg
+        self.cols = cols
+        self.a = D[self.rows[seg], cols]
+        self.lo = lo[cols]
+        self.hi = hi[cols]
+        self.entry_rows = self.rows[seg]
+        self.seg2 = np.concatenate((seg, seg))
+        self.a2 = np.concatenate((self.a, self.a))
+        self.bounds = np.concatenate((self.lo, self.hi))
+        # base - t a falls for a > 0: it leaves hi first and stops at lo
+        signed = self.a * np.abs(self.a)
+        self.kinks = np.concatenate((signed, -signed))
+
+
+def _disjoint_row_groups(D: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Greedy partition of D's rows, in row order, into groups on disjoint columns."""
+    groups: list[tuple[list, np.ndarray]] = []
+    for r, row in enumerate(D):
+        support = row != 0.0
+        for rows, used in groups:
+            if not np.any(used & support):
+                rows.append(r)
+                used |= support
+                break
+        else:
+            groups.append(([r], support))
+    return tuple(_RowGroup(rows, D, lo, hi) for rows, _ in groups)
+
+
 def _row_multiplier(base, a, lo, hi, c) -> float:
     """Smallest t >= 0 with a . clip(base - t a, lo, hi) <= c.
 
@@ -301,7 +345,9 @@ def _row_multiplier(base, a, lo, hi, c) -> float:
     - sum_{tau_k < t} delta_k (tau_k - t) for the slope s at t = 0, so
     running sums give g at every kink, and the root is solved on the
     piece where g stops being positive. Only the row's own columns are
-    passed, so every a_j is nonzero.
+    passed, so every a_j is nonzero. This is the solver of a one-row
+    group, where it is quicker than the segmented pass of
+    _group_multipliers.
     """
     g0 = float(a @ np.clip(base, lo, hi)) - c
     if g0 <= 0.0:
@@ -340,13 +386,61 @@ def _row_multiplier(base, a, lo, hi, c) -> float:
     return (g0 - offset) / -slope
 
 
+def _group_multipliers(grp: _RowGroup, base: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """_row_multiplier for every row of a group at once.
+
+    The rows share no column, so each has its own g_r, and one pass
+    serves them all. The slope of g_r at t = 0 sums the slope changes
+    of the kinks at t <= 0; the kinks ahead are sorted by row and then
+    by time, the running sums restart at each row's first kink, and
+    each row stops at its first kink where g_r is nonpositive, or at
+    its last kink when g_r stays positive past every kink. The root is
+    then solved on the piece ending there, as in _row_multiplier.
+    """
+    k = c.size
+    g0 = np.bincount(grp.seg, grp.a * np.minimum(np.maximum(base, grp.lo), grp.hi), k) - c
+    active = g0 > 0.0
+    if not active.any():
+        return np.zeros(k)
+    times = (np.concatenate((base, base)) - grp.bounds) / grp.a2
+    slope = np.bincount(grp.seg2, grp.kinks * (times <= 0.0), k)
+    ahead = ((times > 0.0) & (times < np.inf)).nonzero()[0]
+    ahead = ahead[np.lexsort((times[ahead], grp.seg2[ahead]))]
+    offset = np.zeros(k)
+    end = np.zeros(k)
+    if ahead.size:
+        times = times[ahead]
+        kinks = grp.kinks[ahead]
+        row = grp.seg2[ahead]
+        change = row[1:] != row[:-1]
+        last = np.concatenate((change, [True]))
+        # index of the first kink of each kink's row
+        first = np.maximum.accumulate(np.arange(row.size) * np.concatenate(([True], change)))
+        moments = kinks * times
+        slopes = kinks.cumsum()
+        offsets = moments.cumsum()
+        slopes += slope[row] - (slopes - kinks)[first]
+        offsets -= (offsets - moments)[first]
+        below = g0[row] + slopes * times - offsets <= 0.0
+        stop = (below | last).nonzero()[0]
+        stop = stop[np.concatenate(([True], row[stop[1:]] != row[stop[:-1]]))]
+        at = row[stop]
+        # the piece ending at a kink where g_r is nonpositive lies before
+        # that kink's slope change; past the last kink it includes it
+        back = below[stop]
+        slope[at] = slopes[stop] - back * kinks[stop]
+        offset[at] = offsets[stop] - back * moments[stop]
+        end[at] = times[stop]
+    # a nonnegative slope at the stop is only rounding; g_r is lowest from end on
+    t = np.divide(g0 - offset, -slope, out=end, where=slope < 0.0)
+    t[~active] = 0.0
+    return t
+
+
 def _kkt_gap(p: GameProblem, u: np.ndarray, lam: np.ndarray) -> float:
     """Largest violation of D u <= b, and of tightness on rows with lambda_r > 0."""
     slack = p.D_stack @ u - p.b_total
-    return max(
-        float(np.max(slack, initial=0.0)),
-        float(np.max(-slack[lam > 0.0], initial=0.0)),
-    )
+    return float(np.maximum(slack, -slack * (lam > 0.0)).max(initial=0.0))
 
 
 def proj_shared_set(
@@ -359,14 +453,19 @@ def proj_shared_set(
 
     Dual coordinate ascent on the m multipliers of D u <= b. For
     lambda >= 0 the Lagrangian is minimised over the box U by
-    u(lambda) = clip(v - D^T lambda, lo, hi); a sweep maximises the dual
-    exactly in one multiplier at a time (_row_multiplier). The result is
-    returned on a KKT certificate at eps = tol * max(1, max|b|):
-    D u - b <= eps, and every row with a positive multiplier is tight to
-    within eps. u(lambda) is then the exact projection onto C with each
-    offset moved by at most eps. Rows on disjoint columns do not
-    interact, so one sweep is exact there. Raises if max_sweeps sweeps
-    end without the certificate.
+    u(lambda) = clip(v - D^T lambda, lo, hi). The rows are split once,
+    greedily in row order, into groups on pairwise disjoint columns
+    (GameProblem.row_groups). A sweep maximises the dual exactly in the
+    multipliers of one group at a time: the rows of a group do not
+    interact, so each is a continuous quadratic knapsack, and one
+    vectorised breakpoint pass (_group_multipliers; K. C. Kiwiel,
+    Math. Program. 112, 2008) solves all of them; a one-row group is
+    solved by _row_multiplier. When every row lies in one group, one
+    sweep is exact. The result is returned on a KKT certificate at
+    eps = tol * max(1, max|b|): D u - b <= eps, and every row with a
+    positive multiplier is tight to within eps. u(lambda) is then the
+    exact projection onto C with each offset moved by at most eps.
+    Raises if max_sweeps sweeps end without the certificate.
     """
     v = np.asarray(v, dtype=np.float64).ravel()
     d = p.partition.total_dim
@@ -393,10 +492,15 @@ def proj_shared_set(
                 "projection onto the shared feasible set did not converge", achieved=gap
             )
         sweeps += 1
-        for r, (cols, a, lo_r, hi_r) in enumerate(p.row_support):
-            base = w[cols] + lam[r] * a
-            lam[r] = _row_multiplier(base, a, lo_r, hi_r, rhs[r])
-            w[cols] = base - lam[r] * a
+        for grp in p.row_groups:
+            cols, a = grp.cols, grp.a
+            base = w[cols] + lam[grp.entry_rows] * a
+            if grp.rows.size == 1:
+                r = grp.rows[0]
+                lam[r] = _row_multiplier(base, a, grp.lo, grp.hi, rhs[r])
+            else:
+                lam[grp.rows] = _group_multipliers(grp, base, rhs[grp.rows])
+            w[cols] = base - lam[grp.entry_rows] * a
         # recomputed, so the certificate holds for u(lam) itself and not
         # for the rounding drift of the row updates
         w = v - p.D_stack.T @ lam

@@ -328,6 +328,9 @@ class _RunRecorder:
     and the networked runner cannot drift apart in how they produce
     traces. A step only computes iterates; post_step records the
     diagnostics payload from the mid-iteration points the step returns.
+    A recorder made with r_psi_only computes r_psi alone and records
+    NaN for res and both gaps, for a caller that stops on r_psi and
+    reads nothing else.
     """
 
     def __init__(
@@ -337,6 +340,7 @@ class _RunRecorder:
         params: SolverParams,
         ell_v_psi: float,
         x0: np.ndarray,
+        r_psi_only: bool = False,
     ):
         self.problem = op.problem
         self.op = op
@@ -349,14 +353,18 @@ class _RunRecorder:
             self.trace.diag.states.append(x0.copy())
         self._record = False
         self._row = None
+        self._r_psi_only = r_psi_only
 
     def _metrics(self, x: np.ndarray) -> tuple[float, float, float, float]:
         """r_psi, res, consensus gap and feasibility gap at x."""
+        r_psi = self.op.r_psi_flat(x, self.psi)
+        if self._r_psi_only:
+            return r_psi, math.nan, math.nan, math.nan
         part = self.problem.partition
         d = part.total_dim
         u = x[:d]
         return (
-            self.op.r_psi_flat(x, self.psi),
+            r_psi,
             residual_res(self.problem, u),
             consensus_gap(part, x[d + part.dual_dim :]),
             feasibility_gap(self.problem, u),
@@ -476,13 +484,15 @@ def _drive(
     params: SolverParams,
     x0: PrimalDualState | None,
     make_step,
+    r_psi_only: bool = False,
 ) -> tuple[PrimalDualState, SolverTrace]:
     """The iteration loop of both executors.
 
     make_step(op, psi, x0) returns step(k, x, x_prev, alpha, rho, size),
     which gives X_{k+1} and its mid-iteration points (or None); the
     loop owns everything around it: step sizes and their checks, the
-    initial state, the schedules and the recorder.
+    initial state, the schedules and the recorder. r_psi_only is passed
+    to the recorder.
     """
     part = problem.partition
     op = ExtendedOperator(problem, graph)
@@ -496,7 +506,7 @@ def _drive(
         raise ConfigurationError("initial multiplier copies must be nonnegative", field="x0")
     ell = op.lipschitz_ell_V * psi.max_step
     x_prev = x = x0.data.copy()  # X_{-1} = X_0; no step writes into its inputs
-    rec = _RunRecorder(op, psi, params, ell, x)
+    rec = _RunRecorder(op, psi, params, ell, x, r_psi_only)
     step = make_step(op, psi, x0.data)
     relaxed = params.variant != "sfb"
     stopped = False
@@ -536,6 +546,11 @@ def run(
     one row per executed iteration at that decimation, and the final
     iterate's metrics are stored on the trace separately.
     """
+    return _drive(problem, graph, params, x0, _sampled_steps(oracle, params, seed))
+
+
+def _sampled_steps(oracle: SamplingOracle, params: SolverParams, seed: int):
+    """make_step for _drive: steps of params.variant on draws from the streams of seed."""
     streams = AgentStreams(seed)
 
     def make_step(op, psi, x0):
@@ -546,7 +561,7 @@ def run(
 
         return step
 
-    return _drive(problem, graph, params, x0, make_step)
+    return make_step
 
 
 def solve_ground_truth(
@@ -558,7 +573,10 @@ def solve_ground_truth(
 
     Used to obtain reference equilibria for the residual and recursion
     tests. The stopping test is checked every 10 iterations. Raises if
-    the budget is exhausted before reaching the tolerance.
+    the budget is exhausted before reaching the tolerance. The run
+    stops on r_psi alone, so its rows carry r_psi only: res, the
+    consensus gap and the feasibility gap are NaN on every row, and so
+    are final_res and both final gaps.
     """
     params = SolverParams(
         variant="sfbf",
@@ -568,7 +586,10 @@ def solve_ground_truth(
         trace_every=10,
         batch=BatchSchedule(1.0, 1.2),
     )
-    state, trace = run(problem, graph, ZeroNoiseOracle(problem), params)
+    state, trace = _drive(
+        problem, graph, params, None, _sampled_steps(ZeroNoiseOracle(problem), params, 0),
+        r_psi_only=True,
+    )
     if trace.final_r_psi >= params.tol:
         raise NumericError(
             f"reference solve stalled at residual {trace.final_r_psi:.3e} "

@@ -281,6 +281,91 @@ def test_projection_matches_dykstra_on_solver_states(monotone_small):
         assert np.all(np.abs(market.D_stack @ ref - market.b_total) <= 1e-9)
 
 
+def grouped_rows_game(rng, m, overlap):
+    """Game whose m rows lie on pairwise disjoint columns, with awkward boxes.
+
+    Coefficients and box bounds come from a coarse grid, so several
+    kinks of a row fall at the same time; some coordinates are fixed
+    (lo == hi), some bounds are infinite, and some offsets are so
+    large that their rows never bind. With overlap, one more row takes
+    a column from each of two rows and is put at a random place in the
+    row order, so the greedy grouping splits the rows into two groups.
+    """
+    dims = [int(k) for k in rng.integers(1, 5, size=int(rng.integers(2, 5)))]
+    dims[-1] += max(0, m + 2 - sum(dims))  # room for a column of every row
+    d = sum(dims)
+    owner = rng.integers(-1, m, size=d)  # -1: a column in no row
+    owner[rng.permutation(d)[:m]] = np.arange(m)  # every row has a column
+    cols = np.flatnonzero(owner >= 0)
+    dense = np.zeros((m, d))
+    dense[owner[cols], cols] = rng.choice([-2.0, -1.0, 1.0, 2.0], size=cols.size)
+    lo = rng.integers(-4, 1, size=d) / 2.0
+    hi = lo + rng.integers(0, 4, size=d) / 2.0
+    lo[rng.random(d) < 0.15] = -np.inf
+    hi[rng.random(d) < 0.15] = np.inf
+    if overlap:
+        p, q = rng.choice(m, size=2, replace=False)
+        row = np.zeros(d)
+        row[np.flatnonzero(owner == p)[0]] = 1.0
+        row[np.flatnonzero(owner == q)[0]] = rng.choice([-1.0, 1.0])
+        dense = np.insert(dense, int(rng.integers(0, m + 1)), row, axis=0)
+    # offsets above the values at a point of the box, so C is not empty
+    inside = np.clip(rng.integers(-2, 3, size=d) / 2.0, lo, hi)
+    rhs = dense @ inside + rng.choice([0.0, 0.25, 1.0, 50.0], size=dense.shape[0])
+    part = AgentPartition(tuple(dims), dense.shape[0])
+    n = part.num_agents
+    problem = GameProblem(
+        partition=part,
+        pseudogradient=lambda u: u.copy(),
+        D=tuple(dense[:, part.primal_slice(i)] for i in range(n)),
+        b=(rhs,) + tuple(np.zeros(dense.shape[0]) for _ in range(n - 1)),
+        box_lo=tuple(lo[part.primal_slice(i)] for i in range(n)),
+        box_hi=tuple(hi[part.primal_slice(i)] for i in range(n)),
+        lipschitz_ell=1.0,
+    )
+    return problem
+
+
+def test_projection_matches_dykstra_on_grouped_rows():
+    rng = np.random.default_rng(112)
+    largest_group = 0
+    seen = {"fixed or infinite": 0, "inactive": 0, "repeated kinks": 0, "coupled": 0}
+    for trial in range(120):
+        m = int(rng.integers(2, 9))
+        overlap = trial % 3 == 2
+        problem = grouped_rows_game(rng, m, overlap)
+        groups = problem.row_groups
+        rows = np.concatenate([g.rows for g in groups])
+        assert sorted(rows.tolist()) == list(range(problem.D_stack.shape[0]))
+        for g in groups:
+            supports = problem.D_stack[g.rows] != 0.0
+            assert np.all(supports.sum(axis=0) <= 1)
+        assert len(groups) == (2 if overlap else 1)
+        largest_group = max(largest_group, max(g.rows.size for g in groups))
+        lo, hi = problem.lo_stack, problem.hi_stack
+        seen["fixed or infinite"] += int(np.any(lo == hi) and not np.all(np.isfinite(lo) & np.isfinite(hi)))
+        d = problem.partition.total_dim
+        for _ in range(6):
+            # half of the points on the grid, where kinks coincide
+            v = rng.integers(-8, 9, size=d) / 2.0 if rng.random() < 0.5 else rng.normal(size=d) * 3.0
+            u = proj_shared_set(problem, v, max_sweeps=10000 if overlap else 1)
+            ref = dykstra_projection(problem, v)
+            assert np.max(np.abs(u - ref)) <= 1e-9, (trial, m, overlap)
+            _assert_feasible(problem, u)
+            tight = np.abs(problem.D_stack @ ref - problem.b_total) <= 1e-9
+            seen["inactive"] += int(not tight.all())
+            seen["coupled"] += int(overlap and tight.sum() >= 2)
+            # two kinks of one row at the same time, both ahead of t = 0
+            r, c = np.nonzero(problem.D_stack)
+            a = problem.D_stack[r, c]
+            times = np.concatenate([(v[c] - lo[c]) / a, (v[c] - hi[c]) / a])
+            ahead = np.isfinite(times) & (times > 0.0)
+            kinks = set(zip(np.concatenate([r, r])[ahead], times[ahead]))
+            seen["repeated kinks"] += int(len(kinks) < ahead.sum())
+    assert largest_group >= 2
+    assert all(count > 0 for count in seen.values()), seen
+
+
 def test_projection_raises_when_sweeps_run_out():
     rng = np.random.default_rng(8)
     problem = tight_random_game(rng, (2, 2, 2), 4)

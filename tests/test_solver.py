@@ -10,7 +10,7 @@ from gnes.blockvec import AgentPartition, PrimalDualState
 from gnes import solver
 from gnes.agentnet import run_distributed
 from gnes.errors import ConfigurationError, NumericError, ToleranceError
-from gnes.operators import ExtendedOperator
+from gnes.operators import ExtendedOperator, residual_res
 from gnes.solver import (
     SolverParams,
     admissible_step_bound,
@@ -202,6 +202,28 @@ def test_reference_solves(name):
     assert trace.r_psi[-1] <= trace.r_psi[0]
     running_min = np.minimum.accumulate(trace.r_psi)
     assert running_min[-1] < 1e-10
+
+
+def test_reference_solve_computes_no_natural_residual(monotone_small, monkeypatch):
+    problem, graph = monotone_small
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return residual_res(*args)
+
+    monkeypatch.setattr(solver, "residual_res", counted)
+    _, trace = solve_ground_truth(problem, graph)
+    # the solve stops on r_psi and nobody reads the rest of its rows
+    assert calls == []
+    assert trace.iterations == GROUND_TRUTH["affine-monotone-small"][0]
+    assert len(trace.r_psi) > 0 and np.all(np.isfinite(trace.r_psi))
+    assert np.all(np.isnan(trace.res + trace.consensus_gap + trace.feas_gap))
+    assert np.isnan([trace.final_res, trace.final_consensus_gap, trace.final_feas_gap]).all()
+    assert trace.final_r_psi < 1e-12
+    # an ordinary run still records the natural residual on every row
+    run(problem, graph, ZeroNoiseOracle(problem), SolverParams(variant="sfbf", max_iters=20, tol=0.0))
+    assert len(calls) == 21
 
 
 def test_reference_solve_raises_when_budget_too_small(monotone_small):
