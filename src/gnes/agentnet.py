@@ -127,9 +127,10 @@ class AgentNode:
     Holds the agent's own state as one vector [u_i | mu_i | lambda_i]
     (rows, its positions in the flat state), its rows of the operator's
     affine part, which carry only D_i, b_i and its incident edge
-    weights, its box (or prox), its step sizes, and its own sampling
-    streams. Remote values enter exclusively through the inbox argument
-    of the round methods.
+    weights, its rows of the state box K (T is K's normal cone, so the
+    resolvent is the projection onto K), its step sizes, and its own
+    sampling streams. Remote values enter exclusively through the inbox
+    argument of the round methods.
     """
 
     def __init__(
@@ -162,6 +163,8 @@ class AgentNode:
         self.kernel = op.affine.restrict(self.rows, cols)
         self.offset = op.offset[self.rows]
         self.steps = psi.inv_weights[self.rows]
+        self.lo = op.lo[self.rows]
+        self.hi = op.hi[self.rows]
         # where the own and the received blocks go in the local vector
         self._local = np.empty(cols.size)
         k = peers.size
@@ -180,10 +183,6 @@ class AgentNode:
             (("strategy", int(j)), part.primal_slices[int(j)]) for j in problem.interaction[i]
         )
         self._lam = slice(dim + m, None)
-        self.gamma = float(psi.gamma[i])
-        self.prox_fn = problem.prox_g[i] if problem.has_custom_prox else None
-        self.lo = problem.box_lo[i]
-        self.hi = problem.box_hi[i]
         self.oracle = oracle
         self.streams = AgentStreams(seed)
         self.x = self.xp = self.z = self.y = self.a = None
@@ -222,15 +221,8 @@ class AgentNode:
         return v
 
     def _resolvent(self, v: np.ndarray) -> np.ndarray:
-        """Prox (box clip by default) on u, identity on mu, clamp at zero on lambda; in place."""
-        u = v[: self.dim]
-        if self.prox_fn is not None:
-            u[...] = self.prox_fn(u, self.gamma)
-        else:
-            np.clip(u, self.lo, self.hi, out=u)
-        lam = v[self._lam]
-        np.maximum(lam, 0.0, out=lam)
-        return v
+        """Projection onto this agent's rows of the state box; in place."""
+        return np.clip(v, self.lo, self.hi, out=v)
 
     def post(self, bus: Exchange, k: int, phase: int, u: np.ndarray, mu: np.ndarray, lam: np.ndarray):
         """Send u to the interaction partners and (lambda, mu) to the graph neighbours."""

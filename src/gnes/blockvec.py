@@ -221,11 +221,12 @@ class PrimalDualState:
 class Preconditioner:
     """Diagonal matrix Psi = diag(gamma^-1, sigma^-1, tau^-1) in block form.
 
-    gamma, sigma, tau are per-agent positive step sizes. The diagonal of
-    Psi carries the reciprocals, expanded over each agent's coordinates.
+    gamma, sigma, tau are per-agent positive step sizes. Only the
+    diagonal is kept, expanded over each agent's coordinates: weights
+    holds Psi, inv_weights the step of each coordinate.
     """
 
-    __slots__ = ("partition", "gamma", "sigma", "tau", "weights", "inv_weights")
+    __slots__ = ("partition", "weights", "inv_weights")
 
     def __init__(self, partition: AgentPartition, gamma, sigma, tau):
         n = partition.num_agents
@@ -242,9 +243,6 @@ class Preconditioner:
                     f"{name} step sizes must be finite and > 0", field=name
                 )
         self.partition = partition
-        self.gamma = gamma
-        self.sigma = sigma
-        self.tau = tau
         inv = np.empty(partition.state_dim)
         inv[: partition.total_dim] = np.repeat(gamma, partition.dims)
         d = partition.total_dim
@@ -260,7 +258,7 @@ class Preconditioner:
         """All agents share one step size for every block."""
         n = partition.num_agents
         s = np.full(n, float(step))
-        return cls(partition, s, s.copy(), s.copy())
+        return cls(partition, s, s, s)
 
     @property
     def max_step(self) -> float:

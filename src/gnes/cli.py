@@ -485,12 +485,6 @@ def cmd_compare(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     return 0
 
 
-def _lambda_floor(partition, x: np.ndarray) -> float:
-    """Smallest multiplier entry of a state; 0.0 without constraints."""
-    nm = partition.dual_dim
-    return float(x[partition.total_dim + nm:].min()) if nm else 0.0
-
-
 def _least(slacks: np.ndarray) -> float:
     """Smallest slack of a check, its margin; 0.0 for a run without iterations."""
     return float(slacks.min()) if slacks.size else 0.0
@@ -505,8 +499,6 @@ def cmd_verify(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     _, trace = run(problem, graph, oracle, params, seed=config.seed)
     report = diagnostics_check(trace, reference)
     tol = report.tol
-    diag = trace.diag
-    part = problem.partition
 
     checks = [
         ("fundamental_recursion", report.fr_violations, _least(report.fr_slack)),
@@ -517,7 +509,8 @@ def cmd_verify(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     # only Y_k passes through the resolvent each iteration; the relaxed
     # X_{k+1} and the extrapolated Z_k can dip below zero in the
     # multiplier block, so the sign check applies to Y_k alone
-    floors = np.array([_lambda_floor(part, y) for y in diag.Y])
+    lam = problem.partition.total_dim + problem.partition.dual_dim
+    floors = np.array([float(y[lam:].min()) for y in trace.diag.Y])
     checks.append(("multiplier_sign", np.flatnonzero(floors < -tol), _least(floors)))
     if isinstance(oracle, ZeroNoiseOracle) and trace.r_psi:
         progress = trace.r_psi[0] - trace.final_r_psi

@@ -13,9 +13,12 @@ with all dual products taken blockwise per agent, L standing for the
 Kronecker form L (x) I_m. Everything but F is affine, so
 V(x) = [F(u); 0; 0] + A x + c with one fixed sparse A and c = [0; 0; b].
 A is kept as an OrderedRows over the whole state; an agent node applies
-its own rows of it and gets the same floats. Zeros of V + T, where T
-collects the local subdifferentials and the nonnegativity cone on
-lambda, are variational equilibria of the game.
+its own rows of it and gets the same floats. The local sets are boxes,
+so T is the normal cone of one box over the state,
+K = U x R^{Nm} x R^{Nm}_+ (the local boxes on u, no bound on mu,
+nonnegativity on lambda), and its resolvent is the projection onto K
+for every diagonal Psi: one clip. Zeros of V + T are variational
+equilibria of the game.
 """
 
 from __future__ import annotations
@@ -64,10 +67,6 @@ class GameProblem:
         are allowed, NaN is not.
     lipschitz_ell : float
         Lipschitz constant of F.
-    prox_g : sequence of callables or None
-        Optional custom prox oracles prox_g[i](v, gamma). The default
-        is the projection onto the local box, which any custom oracle
-        must also map into.
     interaction : tuple of arrays or None
         interaction[i] lists the agents (not i) whose blocks agent i's
         rows of F read. None means everyone interacts with everyone.
@@ -80,7 +79,6 @@ class GameProblem:
     box_lo: tuple
     box_hi: tuple
     lipschitz_ell: float
-    prox_g: tuple | None = None
     interaction: tuple | None = None
     d_norm: float = field(init=False)
 
@@ -122,8 +120,6 @@ class GameProblem:
         self.box_hi = hi
         if not np.isfinite(self.lipschitz_ell) or self.lipschitz_ell < 0.0:
             raise ConfigurationError("lipschitz_ell must be finite and >= 0", field="lipschitz_ell")
-        if self.prox_g is not None and len(self.prox_g) != n:
-            raise DimensionMismatchError("need one prox oracle per agent", block="prox_g")
         if self.interaction is None:
             self.interaction = tuple(
                 np.array([j for j in range(n) if j != i], dtype=np.int64) for i in range(n)
@@ -159,16 +155,6 @@ class GameProblem:
     def num_agents(self) -> int:
         return self.partition.num_agents
 
-    def prox(self, i: int, v: np.ndarray, gamma: float) -> np.ndarray:
-        """Prox of agent i's local term at step gamma (box projection by default)."""
-        if self.prox_g is not None:
-            return self.prox_g[i](v, gamma)
-        return np.clip(v, self.box_lo[i], self.box_hi[i])
-
-    @property
-    def has_custom_prox(self) -> bool:
-        return self.prox_g is not None
-
     def gradient(self, i: int, u: np.ndarray) -> np.ndarray:
         """Agent i's rows of F(u); its shape and finiteness errors name the agent."""
         sl = self.partition.primal_slice(i)
@@ -201,7 +187,8 @@ class GameProblem:
 class ExtendedOperator:
     """V together with the resolvent of the separable part T.
 
-    affine and offset are the A and c of V(x) = [F(u); 0; 0] + A x + c.
+    affine and offset are the A and c of V(x) = [F(u); 0; 0] + A x + c;
+    lo and hi bound the state box K whose normal cone is T.
     Row i of A's mu and lambda blocks holds only agent i's own D_i and
     the weights of its incident edges, which is what lets each agent
     node evaluate its rows from its own blocks and its neighbours'.
@@ -211,7 +198,7 @@ class ExtendedOperator:
     is what step size selection uses.
     """
 
-    __slots__ = ("problem", "graph", "lipschitz_ell_V", "affine", "offset")
+    __slots__ = ("problem", "graph", "lipschitz_ell_V", "affine", "offset", "lo", "hi")
 
     def __init__(self, problem: GameProblem, graph: CommGraph):
         if graph.num_agents != problem.partition.num_agents:
@@ -249,6 +236,8 @@ class ExtendedOperator:
         )
         self.offset = np.zeros(part.state_dim)
         self.offset[d + nm :] = np.concatenate(problem.b)
+        self.lo = np.concatenate((problem.lo_stack, np.full(nm, -np.inf), np.zeros(nm)))
+        self.hi = np.concatenate((problem.hi_stack, np.full(2 * nm, np.inf)))
 
     # flat-array engine ----------------------------------------------------
     #
@@ -265,27 +254,14 @@ class ExtendedOperator:
         out[:d] += fvals
         return out
 
-    def resolvent_flat(self, x: np.ndarray, psi: Preconditioner) -> np.ndarray:
-        """Resolvent of Psi^-1 T: blockwise prox on u, identity on mu, clamp on lambda."""
-        part = self.problem.partition
-        d = part.total_dim
-        nm = part.dual_dim
-        out = np.empty(part.state_dim)
-        prob = self.problem
-        if prob.has_custom_prox:
-            for i in range(part.num_agents):
-                sl = part.primal_slice(i)
-                out[sl] = prob.prox(i, x[sl], float(psi.gamma[i]))
-        else:
-            np.clip(x[:d], prob.lo_stack, prob.hi_stack, out=out[:d])
-        out[d : d + nm] = x[d : d + nm]
-        np.maximum(x[d + nm :], 0.0, out=out[d + nm :])
-        return out
+    def resolvent_flat(self, x: np.ndarray) -> np.ndarray:
+        """Resolvent of Psi^-1 T, the projection onto the state box K for every diagonal Psi."""
+        return np.clip(x, self.lo, self.hi)
 
     def r_psi_flat(self, x: np.ndarray, psi: Preconditioner) -> float:
         """Euclidean norm of the fixed-point displacement of the forward-backward map."""
         v = self.v_flat(x)
-        y = self.resolvent_flat(x - psi.inv_weights * v, psi)
+        y = self.resolvent_flat(x - psi.inv_weights * v)
         return float(np.linalg.norm(x - y))
 
 
@@ -537,10 +513,12 @@ class KKTReport:
 def kkt_check(p: GameProblem, u: np.ndarray, lam: np.ndarray, tol: float = 1e-8) -> KKTReport:
     """First-order conditions with one shared multiplier for all agents.
 
-    Stationarity is tested through the prox characterization
-    u_i = prox_{g_i}(u_i - (grad f_i + D_i^T lambda)) at unit step,
-    feasibility as D u - b <= tol, and complementarity as
-    |lambda_j (D u - b)_j| <= tol together with lambda >= -tol.
+    Stationarity is tested through the projection characterization
+    u = clip(u - (F(u) + D^T lambda), lo, hi) on the box U (T is the
+    box's normal cone), with the largest per-agent norm of the
+    difference as the gap; feasibility as D u - b <= tol, and
+    complementarity as |lambda_j (D u - b)_j| <= tol together with
+    lambda >= -tol.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     lam = np.asarray(lam, dtype=np.float64).ravel()
@@ -550,13 +528,9 @@ def kkt_check(p: GameProblem, u: np.ndarray, lam: np.ndarray, tol: float = 1e-8)
             f"multiplier has shape {lam.shape}, expected ({part.constraint_dim},)",
             block="lambda",
         )
-    f = p.stacked_gradient(u)
-    stat = 0.0
-    for i in range(part.num_agents):
-        sl = part.primal_slice(i)
-        g = f[sl] + p.D[i].T @ lam
-        z = p.prox(i, u[sl] - g, 1.0)
-        stat = max(stat, float(np.linalg.norm(u[sl] - z)))
+    r = u - np.clip(u - p.stacked_gradient(u) - p.D_stack.T @ lam, p.lo_stack, p.hi_stack)
+    starts = [sl.start for sl in part.primal_slices]
+    stat = math.sqrt(np.add.reduceat(r * r, starts).max())
     slack = p.D_stack @ u - p.b_total
     feas = float(np.max(slack, initial=0.0))
     comp = float(np.max(np.abs(lam * slack), initial=0.0))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,9 @@ class SolverParams:
 
     steps is either "auto" (every step size set to the admissible bound
     (1 - nu) / (2 ell_V)), a single float shared by all agents and
-    blocks, or a (gamma, sigma, tau) triple of per-agent arrays.
+    blocks, or a (gamma, sigma, tau) triple of per-agent arrays (a
+    scalar entry is shared by all agents). max_iters and trace_every
+    are integers >= 1.
 
     rho_fixed replaces the relaxation schedule by a constant;
     rho_scale multiplies whatever the schedule yields. Both exist for
@@ -104,14 +107,20 @@ class SolverParams:
             raise ConfigurationError(
                 f"margin nu must lie in (0, 1), got {self.nu}", field="nu"
             )
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be >= 1", field="max_iters")
+        for name in ("max_iters", "trace_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1", field=name)
+            setattr(self, name, int(value))
+        if not _valid_steps(self.steps):
+            raise ConfigurationError(
+                f"steps must be 'auto', a number or a (gamma, sigma, tau) triple, not {self.steps!r}",
+                field="steps",
+            )
         if not (np.isfinite(self.tol) and self.tol >= 0.0):
             raise ConfigurationError("tol must be finite and >= 0", field="tol")
         if self.tol_res is not None and not (np.isfinite(self.tol_res) and self.tol_res >= 0.0):
             raise ConfigurationError("tol_res must be finite and >= 0", field="tol_res")
-        if self.trace_every < 1:
-            raise ConfigurationError("trace_every must be >= 1", field="trace_every")
         if self.rho_fixed is not None and not 0.0 < self.rho_fixed <= 1.0:
             raise ConfigurationError("rho_fixed must lie in (0, 1]", field="rho_fixed")
         if not (np.isfinite(self.rho_scale) and self.rho_scale > 0.0):
@@ -121,6 +130,33 @@ class SolverParams:
                 "recursion diagnostics apply to the forward-backward-forward variants",
                 field="variant",
             )
+        if not isinstance(self.batch, BatchSchedule):
+            raise ConfigurationError("batch must be a BatchSchedule", field="batch")
+        try:
+            # the schedule increases, so its last size is its largest
+            self.batch.size(self.max_iters - 1)
+        except OverflowError:
+            raise ConfigurationError(
+                f"batch size overflows within {self.max_iters} iterations", field="batch"
+            ) from None
+
+
+def _valid_steps(steps) -> bool:
+    """Whether steps is "auto", a real number, or a triple of numbers or per-agent arrays."""
+    if isinstance(steps, str):
+        return steps == "auto"
+    if isinstance(steps, bool):
+        return False
+    if isinstance(steps, numbers.Real):
+        return True
+    if not isinstance(steps, (tuple, list)) or len(steps) != 3:
+        return False
+    try:
+        for v in steps:
+            np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def alpha_schedule(params: SolverParams, k: int) -> float:
@@ -167,16 +203,14 @@ def admissible_step_bound(op: ExtendedOperator, nu: float) -> float:
 def build_preconditioner(params: SolverParams, op: ExtendedOperator) -> Preconditioner:
     """Resolve the steps field of the parameters into a Preconditioner."""
     part = op.problem.partition
-    if isinstance(params.steps, str):
-        if params.steps != "auto":
-            raise ConfigurationError(f"unknown steps rule {params.steps!r}", field="steps")
+    if isinstance(params.steps, str):  # "auto", the only rule
         bound = admissible_step_bound(op, params.nu)
         if not np.isfinite(bound):
             raise ConfigurationError(
                 "automatic steps need a positive operator constant", field="steps"
             )
         return Preconditioner.uniform(part, bound)
-    if isinstance(params.steps, (int, float)):
+    if isinstance(params.steps, numbers.Real):
         return Preconditioner.uniform(part, float(params.steps))
     # a scalar entry is one step size shared by all agents
     gamma, sigma, tau = (
@@ -407,7 +441,7 @@ class _RunRecorder:
             z, y, a, b = mid
             op = self.op
             vz = op.v_flat(z)
-            jz = op.resolvent_flat(z - self.psi.inv_weights * vz, self.psi)
+            jz = op.resolvent_flat(z - self.psi.inv_weights * vz)
             diag.Z.append(z)
             diag.Y.append(y)
             diag.U.append(a - vz)
@@ -457,7 +491,7 @@ def risfbf_step(
     invw = psi.inv_weights
     z = x + alpha * (x - x_prev)
     a = sample_V_hat(op, oracle, z, size, streams, k, PHASE_XI)
-    y = op.resolvent_flat(z - invw * a, psi)
+    y = op.resolvent_flat(z - invw * a)
     b = sample_V_hat(op, oracle, y, size, streams, k, PHASE_ETA)
     r = y + invw * (a - b)
     # same affine form (1 - rho) z + rho r as the per-block relaxation on agent nodes
@@ -475,7 +509,7 @@ def sfb_step(
 ) -> np.ndarray:
     """Plain projected stochastic forward-backward step."""
     a = sample_V_hat(op, oracle, x, size, streams, k, PHASE_XI)
-    return op.resolvent_flat(x - psi.inv_weights * a, psi)
+    return op.resolvent_flat(x - psi.inv_weights * a)
 
 
 def _drive(

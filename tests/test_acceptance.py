@@ -151,8 +151,8 @@ def test_c5_norm_and_operator_identities(monotone_small):
         psi = random_psi()
         x = PrimalDualState(part, rng.normal(0.0, 2.0, part.state_dim))
         y = PrimalDualState(part, rng.normal(0.0, 2.0, part.state_dim))
-        jx = op.resolvent_flat(x.data, psi)
-        jy = op.resolvent_flat(y.data, psi)
+        jx = op.resolvent_flat(x.data)
+        jy = op.resolvent_flat(y.data)
         jgap = PrimalDualState(part, jx - jy)
         xgap = PrimalDualState(part, x.data - y.data)
         assert psi_norm(jgap, psi) ** 2 <= psi_inner(jgap, xgap, psi) + 1e-10

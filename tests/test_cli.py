@@ -211,6 +211,23 @@ def test_malformed_affine_document_exits_2_with_json_error(tmp_path, capsys, nam
     assert not out.exists()
 
 
+def test_overflowing_batch_schedule_exits_2_with_json_error(tmp_path, capsys):
+    # (k + 1)^300 overflows a float after about ten iterations
+    out = tmp_path / "o"
+    doc = base_doc(
+        problem={"builtin": "affine-two-firms"},
+        solver={"max_iters": 50, "batch": {"growth": 300}},
+        noise={"kind": "gaussian", "sd": 0.1},
+        out=str(out),
+    )
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    text = capsys.readouterr().err
+    assert "Traceback" not in text
+    err = json.loads(text)
+    assert (err["error"], err["field"]) == ("ConfigurationError", "batch")
+    assert not out.exists()
+
+
 def test_infinite_box_bound_in_affine_document_runs(tmp_path, capsys):
     doc = _affine_doc(box_lo=[[-math.inf, 0.0], [0.0, 0.0], [0.0, 0.0]])
     path = write_config(tmp_path, base_doc(problem={"instance": doc}, out=str(tmp_path / "o")))

@@ -15,6 +15,7 @@ from gnes.operators import (
     proj_shared_set,
     residual_res,
 )
+from gnes.solver import solve_ground_truth
 from gnes.stochastic import PHASE_XI, AdditiveGaussianOracle, AgentStreams, sample_V_hat
 
 from conftest import dykstra_projection, load_builtin, random_affine_game, random_state
@@ -119,9 +120,8 @@ def test_d_norm_is_spectral_norm(monotone_small):
 def test_resolvent_blocks():
     problem, graph = two_agent_game()
     op = ExtendedOperator(problem, graph)
-    psi = Preconditioner.uniform(problem.partition, 0.1)
     x = np.array([1.5, -0.25, 0.7, -0.7, 0.4, -0.3])
-    out = op.resolvent_flat(x, psi)
+    out = op.resolvent_flat(x)
     # box clip on u, identity on mu, positive part on lambda
     assert np.array_equal(out, [1.0, 0.0, 0.7, -0.7, 0.4, 0.0])
 
@@ -138,8 +138,8 @@ def test_resolvent_is_firmly_nonexpansive(monotone_small):
     for _ in range(1000):
         x = random_state(part, rng)
         y = random_state(part, rng)
-        jx = op.resolvent_flat(x, psi)
-        jy = op.resolvent_flat(y, psi)
+        jx = op.resolvent_flat(x)
+        jy = op.resolvent_flat(y)
         lhs = float(np.dot(w * (jx - jy), jx - jy))
         rhs = float(np.dot(w * (jx - jy), x - y))
         assert lhs <= rhs + 1e-10
@@ -412,6 +412,31 @@ def test_kkt_check_rejects_non_solutions(tiny):
     assert not report.complementarity
     with pytest.raises(DimensionMismatchError):
         kkt_check(problem, np.array([0.25]), np.array([0.05, 0.0]))
+
+
+def test_kkt_stationarity_gap_on_mixed_block_sizes():
+    # blocks of 1, 2 and 3 coordinates: the gap is the largest per-agent
+    # norm of u_i - clip(u_i - F_i(u) - D_i^T lambda), block by block
+    problem, graph = load_builtin("affine-asym")
+    part = problem.partition
+    assert part.dims == (1, 2, 3)
+    d, nm = part.total_dim, part.dual_dim
+    reference, _ = solve_ground_truth(problem, graph)
+    u = reference.data[:d]
+    lam = reference.data[d + nm :].reshape(part.num_agents, -1).mean(axis=0)
+    rng = np.random.default_rng(12)
+    points = [(u, lam)] + [
+        (u + rng.normal(0.0, 0.3, d), lam + rng.normal(0.0, 0.3, lam.size)) for _ in range(20)
+    ]
+    for at, mult in points:
+        f = problem.stacked_gradient(at)
+        gaps = []
+        for i, sl in enumerate(part.primal_slices):
+            z = np.clip(at[sl] - f[sl] - problem.D[i].T @ mult, problem.box_lo[i], problem.box_hi[i])
+            gaps.append(np.linalg.norm(at[sl] - z))
+        gap = kkt_check(problem, at, mult).stationarity_gap
+        assert gap == pytest.approx(max(gaps), rel=1e-9, abs=1e-14)
+    assert kkt_check(problem, u, lam).stationarity_gap < 1e-10
 
 
 def test_stacked_gradient_stacks_agent_gradients(monotone_small):

@@ -64,6 +64,37 @@ def test_params_validation():
     SolverParams(alpha_bar=0.0)  # zero inertia degenerates to plain FBF
 
 
+def test_params_refuse_malformed_steps_counts_and_batches(monotone_small):
+    cases = [
+        (dict(steps=(0.01, 0.01)), "steps"),
+        (dict(steps=(0.01,) * 4), "steps"),
+        (dict(steps=None), "steps"),
+        (dict(steps=True), "steps"),
+        (dict(steps="fixed"), "steps"),
+        (dict(steps=(0.01, "a", 0.01)), "steps"),
+        (dict(max_iters=2.5), "max_iters"),
+        (dict(max_iters=10.0), "max_iters"),
+        (dict(max_iters=True), "max_iters"),
+        (dict(max_iters=None), "max_iters"),
+        (dict(trace_every=1.5), "trace_every"),
+        (dict(trace_every=False), "trace_every"),
+        (dict(max_iters=50, batch=BatchSchedule(1.0, 300.0)), "batch"),
+        (dict(batch=None), "batch"),
+    ]
+    for kwargs, name in cases:
+        with pytest.raises(ConfigurationError) as info:
+            SolverParams(**kwargs)
+        assert info.value.field == name, kwargs
+    # numpy integers count as integers, numpy floats as step sizes
+    params = SolverParams(max_iters=np.int64(20), trace_every=np.int32(5), steps=np.float32(0.05))
+    assert (type(params.max_iters), type(params.trace_every)) == (int, int)
+    assert (params.max_iters, params.trace_every) == (20, 5)
+    psi = build_preconditioner(params, ExtendedOperator(*monotone_small))
+    assert np.all(psi.inv_weights == float(np.float32(0.05)))
+    # the last size of a fast schedule is the largest, and it fits
+    SolverParams(max_iters=5, batch=BatchSchedule(1.0, 300.0))
+
+
 def test_params_refuse_diagnostics_without_a_correction_step():
     # the forward-backward step has no Z, Y, U or W: the recursion check
     # would pass on zero rows
