@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, GnesError
+from .errors import ConfigurationError, DimensionMismatchError, GnesError, is_integer, is_number
 from .instances import builtin_document, load_document
 from .solver import VARIANTS, SolverParams, diagnostics_check, run, solve_ground_truth
 from .stochastic import (
@@ -58,10 +58,6 @@ _SOURCES = ("builtin", "instance", "instance_path", "cournot")
 _NOISE_KINDS = ("zero", "gaussian")
 _SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverParams)}
 _TOP_FIELDS = ("problem", "solver", "noise", "seed", "reps", "out", "variants", "alpha_sweep")
-_OPTIONAL_NUMBERS = ("tol_res", "rho_fixed")
-_NUMBERS = ("alpha_bar", "nu", "tol", "rho_scale") + _OPTIONAL_NUMBERS
-_INTEGERS = ("max_iters", "trace_every")
-_FLAGS = ("diagnostics", "enforce_admissibility")
 
 
 @dataclass
@@ -79,20 +75,17 @@ class RunConfig:
 
 
 def _number(value, field: str) -> float:
-    """A JSON number as a float; any other value is a configuration error."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ConfigurationError(
-        f"{field} must be a number, not {type(value).__name__}", field=field
-    )
+    """A finite JSON number as a float; any other value is a configuration error."""
+    if not is_number(value):
+        raise ConfigurationError(
+            f"{field} must be a finite number, not {type(value).__name__}", field=field
+        )
+    return float(value)
 
 
 def _integer(value, field: str) -> int:
     """A JSON integer; floats, strings and booleans are configuration errors."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise ConfigurationError(
             f"{field} must be an integer, not {type(value).__name__}", field=field
         )
@@ -114,42 +107,23 @@ def _parse_solver(doc: dict) -> SolverParams:
             f"unknown solver fields: {', '.join(unknown)}", field="solver"
         )
     kwargs = dict(doc)
-    for name, value in doc.items():
-        if name in _INTEGERS:
-            kwargs[name] = _integer(value, name)
-        elif name in _FLAGS and not isinstance(value, bool):
-            raise ConfigurationError(f"{name} must be true or false", field=name)
-        elif name in _NUMBERS and not (value is None and name in _OPTIONAL_NUMBERS):
-            kwargs[name] = _number(value, name)
     if "batch" in kwargs:
         batch = kwargs["batch"]
         if not isinstance(batch, dict) or set(batch) - {"scale", "growth"}:
             raise ConfigurationError(
                 "batch must be a mapping with fields scale and growth", field="batch"
             )
-        kwargs["batch"] = BatchSchedule(
-            scale=_number(batch.get("scale", 1.0), "batch"),
-            growth=_number(batch.get("growth", 1.2), "batch"),
-        )
-    steps = kwargs.get("steps", "auto")
-    if isinstance(steps, (list, tuple)):
-        if len(steps) != 3:
-            raise ConfigurationError(
-                "steps given as a sequence must have three entries "
-                "(primal, consensus, multiplier)",
-                field="steps",
-            )
-        kwargs["steps"] = tuple(_number(v, "steps") for v in steps)
-    elif steps != "auto":
-        kwargs["steps"] = _number(steps, "steps")
+        try:
+            kwargs["batch"] = BatchSchedule(**batch)
+        except ConfigurationError as exc:
+            raise ConfigurationError(str(exc), field="batch") from None
     return SolverParams(**kwargs)
 
 
 def _serialize_solver(params: SolverParams) -> dict:
     doc = dataclasses.asdict(params)
-    doc["batch"] = {"scale": params.batch.scale, "growth": params.batch.growth}
     if isinstance(params.steps, tuple):
-        doc["steps"] = [float(v) for v in params.steps]
+        doc["steps"] = [np.asarray(v).tolist() for v in params.steps]
     return doc
 
 
@@ -204,6 +178,8 @@ def parse_config(doc: dict) -> RunConfig:
     sweep = doc.get("alpha_sweep")
     if sweep is not None:
         sweep = tuple(_number(a, "alpha_sweep") for a in _sequence(sweep, "alpha_sweep"))
+        if not sweep:
+            raise ConfigurationError("the inertia sweep is empty", field="alpha_sweep")
         if any(not 0.0 <= a < 1.0 for a in sweep):
             raise ConfigurationError(
                 "inertia sweep values must lie in [0, 1)", field="alpha_sweep"
@@ -250,9 +226,9 @@ def resolve_problem(config: RunConfig, allow_nonmonotone: bool = False):
     else:
         doc = {"kind": "cournot", "config": copy.deepcopy(src["cournot"])}
     if isinstance(doc, dict) and doc.get("kind") == "cournot" and allow_nonmonotone:
-        cfg = dict(doc.get("config") or {})
-        cfg["allow_nonmonotone"] = True
-        doc = {"kind": "cournot", "config": cfg}
+        cfg = doc.get("config") or {}
+        if isinstance(cfg, dict):
+            doc = {"kind": "cournot", "config": dict(cfg, allow_nonmonotone=True)}
     return load_document(doc)
 
 
@@ -555,15 +531,10 @@ def cmd_gen_cournot(seed: int | None, out: str | None, base: dict | None,
     """Emit a benchmark instance document for the given generator seed."""
     from .cournot import CournotConfig
 
-    cfg = dict(base or {})
-    if seed is not None:
-        cfg["seed"] = seed
+    overrides = {} if seed is None else {"seed": seed}
     if allow_nonmonotone:
-        cfg["allow_nonmonotone"] = True
-    try:
-        config = CournotConfig(**cfg)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad generator config: {exc}", field="config") from exc
+        overrides["allow_nonmonotone"] = True
+    config = CournotConfig.from_settings({} if base is None else base, **overrides)
     doc = {"kind": "cournot", "config": dataclasses.asdict(config)}
     text = json.dumps(doc, indent=2) + "\n"
     if out is None:
@@ -575,27 +546,21 @@ def cmd_gen_cournot(seed: int | None, out: str | None, base: dict | None,
 
 
 def _load_config(args) -> RunConfig:
+    """The --config document with the command line overrides written into it."""
     if args.config is None:
         raise ConfigurationError("--config is required", field="config")
-    config = parse_config(_read_json(args.config))
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigurationError("seed must fit in an unsigned 64-bit word", field="seed")
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.out is not None:
-        config = dataclasses.replace(config, out=args.out)
-    if args.reps is not None:
-        if args.reps < 1:
-            raise ConfigurationError("replication count must be >= 1", field="reps")
-        config = dataclasses.replace(config, reps=args.reps)
-    solver = config.solver
-    if args.variant is not None:
-        solver = dataclasses.replace(solver, variant=args.variant)
-    if args.diagnostics:
-        solver = dataclasses.replace(solver, diagnostics=True)
-    if solver is not config.solver:
-        config = dataclasses.replace(config, solver=solver)
-    return config
+    doc = _read_json(args.config)
+    if isinstance(doc, dict):
+        for name in ("seed", "out", "reps"):
+            if getattr(args, name) is not None:
+                doc[name] = getattr(args, name)
+        solver = doc.setdefault("solver", {})
+        if isinstance(solver, dict):
+            if args.variant is not None:
+                solver["variant"] = args.variant
+            if args.diagnostics:
+                solver["diagnostics"] = True
+    return parse_config(doc)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,14 +19,12 @@ The default configuration is the ten-firm, seven-market benchmark.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blockvec import AgentPartition
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_field_types, is_integer, is_list
 from .graph import CommGraph, generate_graph
 from .operators import GameProblem
 from .stochastic import SamplingOracle
@@ -82,8 +80,25 @@ class CournotConfig:
     lipschitz_margin: float = 1.1
     seed: int = 0
 
+    @classmethod
+    def from_settings(cls, settings, **overrides) -> "CournotConfig":
+        """The config of a settings mapping; a malformed one is a ConfigurationError."""
+        if not isinstance(settings, dict):
+            raise ConfigurationError("cournot config must be a mapping", field="config")
+        try:
+            return cls(**{**settings, **overrides})
+        except TypeError as exc:  # an unknown setting
+            raise ConfigurationError(f"bad cournot config: {exc}", field="config") from None
+
     def __post_init__(self):
-        self._check_types()
+        check_field_types(self, skip=("participation",))
+        part = self.participation
+        if part is not None and not (is_list(part) and all(
+                is_list(row) and all(map(is_integer, row)) for row in part)):
+            raise ConfigurationError(
+                f"participation must be a list of integer lists, not {type(part).__name__}",
+                field="participation",
+            )
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0", field="seed")
         if not 1.0 < self.demand_exponent <= 3.0:
@@ -108,6 +123,9 @@ class CournotConfig:
                 "demand slope must be positive and its deviation nonnegative",
                 field="demand_slope",
             )
+        for name in ("cost_sd", "cap_sd"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0", field=name)
         if not 0 < self.budget_lo <= self.budget_hi:
             raise ConfigurationError(
                 "market budgets need 0 < low <= high", field="budget_lo"
@@ -120,7 +138,6 @@ class CournotConfig:
             raise ConfigurationError(
                 "need at least one firm and one market", field="num_firms"
             )
-        part = self.participation
         if part is None:
             if (self.num_firms, self.num_markets) != (10, 7):
                 raise ConfigurationError(
@@ -158,52 +175,6 @@ class CournotConfig:
                 f"markets {missing} have no participating firm", field="participation"
             )
         object.__setattr__(self, "participation", part)
-
-    def _check_types(self):
-        """Each field's type is that of its default; graph_p is a number or None.
-
-        Integers and numbers are JSON integers and finite JSON numbers,
-        never booleans.
-        """
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.default is None and value is None:
-                continue
-            if f.name == "participation":
-                ok = _is_list(value) and all(
-                    _is_list(row) and all(_is_integer(j) for j in row) for row in value
-                )
-                what = "a list of integer lists"
-            elif f.default is None or type(f.default) is float:
-                ok = _is_number(value)
-                what = "a finite number"
-            elif type(f.default) is int:
-                ok = _is_integer(value)
-                what = "an integer"
-            else:
-                ok = type(value) is type(f.default)
-                what = "true or false" if type(f.default) is bool else "a string"
-            if not ok:
-                raise ConfigurationError(
-                    f"{f.name} must be {what}, not {type(value).__name__}", field=f.name
-                )
-
-
-def _is_list(value) -> bool:
-    return isinstance(value, (list, tuple))
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 class _MarketLayout:

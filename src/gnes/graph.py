@@ -164,8 +164,8 @@ def generate_graph(
     elif name == "erdos-renyi":
         if p is None or not 0.0 < p <= 1.0:
             raise ConfigurationError("erdos-renyi needs an edge probability in (0, 1]", field="p")
-        if seed is None:
-            raise ConfigurationError("erdos-renyi needs a seed", field="seed")
+        if seed is None or seed < 0:
+            raise ConfigurationError("erdos-renyi needs a seed >= 0", field="seed")
         rng = np.random.default_rng(seed)
         for _ in range(1000):
             w[:] = 0.0

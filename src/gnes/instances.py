@@ -23,8 +23,8 @@ import copy
 import numpy as np
 
 from .blockvec import AgentPartition, OrderedRows
-from .cournot import CournotConfig, _is_integer, _is_list, _is_number, generate
-from .errors import ConfigurationError
+from .cournot import CournotConfig, generate
+from .errors import ConfigurationError, is_integer, is_list, is_number
 from .graph import CommGraph, generate_graph, largest_eigenvalue_psd
 from .operators import GameProblem
 
@@ -155,7 +155,7 @@ def _graph_from_spec(spec, n: int) -> CommGraph:
             field="graph",
         )
     p, seed, weight = spec.get("p"), spec.get("seed"), spec.get("weight", 1.0)
-    if not ((p is None or _is_number(p)) and (seed is None or _is_integer(seed)) and _is_number(weight)):
+    if not ((p is None or is_number(p)) and (seed is None or is_integer(seed)) and is_number(weight)):
         raise ConfigurationError(
             "graph p and weight must be numbers and its seed an integer", field="graph"
         )
@@ -187,7 +187,7 @@ def _numbers(value, key: str, shape: tuple, infinite: bool = False) -> np.ndarra
 def _blocks(doc: dict, key: str, shapes: list, infinite: bool = False) -> tuple:
     """doc[key] as one numeric array per agent, of the given shapes."""
     value = _require(doc, key)
-    if not _is_list(value) or len(value) != len(shapes):
+    if not is_list(value) or len(value) != len(shapes):
         raise ConfigurationError(f"{key} needs one entry per agent", field=key)
     return tuple(_numbers(v, key, shape, infinite) for v, shape in zip(value, shapes))
 
@@ -195,9 +195,9 @@ def _blocks(doc: dict, key: str, shapes: list, infinite: bool = False) -> tuple:
 def _build_affine(doc: dict) -> tuple[GameProblem, CommGraph]:
     dims = _require(doc, "dims")
     m = _require(doc, "num_constraints")
-    if not (_is_list(dims) and all(_is_integer(k) for k in dims)):
+    if not (is_list(dims) and all(is_integer(k) for k in dims)):
         raise ConfigurationError("dims must be a list of integers", field="dims")
-    if not _is_integer(m):
+    if not is_integer(m):
         raise ConfigurationError("num_constraints must be an integer", field="num_constraints")
     part = AgentPartition(tuple(dims), m)
     d = part.total_dim
@@ -206,7 +206,7 @@ def _build_affine(doc: dict) -> tuple[GameProblem, CommGraph]:
     ell = doc.get("lipschitz_ell")
     if ell is None:
         ell = float(np.sqrt(largest_eigenvalue_psd(m_mat.T @ m_mat)))
-    elif not _is_number(ell):
+    elif not is_number(ell):
         raise ConfigurationError("lipschitz_ell must be a finite number", field="lipschitz_ell")
     rows = OrderedRows.from_dense(m_mat)
 
@@ -242,13 +242,6 @@ def load_document(doc: dict):
         problem, graph = _build_affine(doc)
         return problem, graph, None
     if kind == "cournot":
-        cfg = _require(doc, "config")
-        if not isinstance(cfg, dict):
-            raise ConfigurationError("cournot config must be a mapping", field="config")
-        try:
-            config = CournotConfig(**cfg)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad cournot config: {exc}", field="config") from exc
-        problem, oracle, graph = generate(config)
+        problem, oracle, graph = generate(CournotConfig.from_settings(_require(doc, "config")))
         return problem, graph, oracle
     raise ConfigurationError(f"unknown instance kind {kind!r}", field="kind")

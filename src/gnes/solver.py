@@ -18,13 +18,12 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blockvec import AgentPartition, Preconditioner, PrimalDualState
-from .errors import ConfigurationError, GnesError, NumericError
+from .errors import ConfigurationError, GnesError, NumericError, check_field_types, is_list, is_number
 from .graph import CommGraph
 from .operators import ExtendedOperator, GameProblem, residual_res
 from .stochastic import (
@@ -64,11 +63,23 @@ VARIANTS = ("risfbf", "sfbf", "sfb")
 class SolverParams:
     """Configuration of one solver run.
 
-    steps is either "auto" (every step size set to the admissible bound
-    (1 - nu) / (2 ell_V)), a single float shared by all agents and
-    blocks, or a (gamma, sigma, tau) triple of per-agent arrays (a
-    scalar entry is shared by all agents). max_iters and trace_every
-    are integers >= 1.
+    Each field accepts one type, and the Python API refuses the same
+    values as a configuration document, naming the same field:
+
+    - variant: a string, one of VARIANTS.
+    - alpha_bar, nu, tol, rho_scale: finite numbers, stored as float.
+    - tol_res, rho_fixed: a finite number (stored as float) or None.
+    - max_iters, trace_every: integers >= 1, stored as int.
+    - diagnostics, enforce_admissibility: true or false.
+    - batch: a BatchSchedule.
+    - steps: "auto" (every step size set to the admissible bound
+      (1 - nu) / (2 ell_V)), one number shared by all agents and blocks
+      (stored as float), or a (gamma, sigma, tau) triple, stored as a
+      tuple, whose entries are numbers (stored as float, shared by all
+      agents) or finite numeric per-agent arrays (stored as tuples of
+      floats).
+
+    Integers and numbers include numpy scalars, never booleans.
 
     rho_fixed replaces the relaxation schedule by a constant;
     rho_scale multiplies whatever the schedule yields. Both exist for
@@ -93,38 +104,27 @@ class SolverParams:
     enforce_admissibility: bool = True
 
     def __post_init__(self):
+        check_field_types(self, skip=("steps",), coerce=True)
+        self.steps = _stored_steps(self.steps)
         if self.variant not in VARIANTS:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}, expected one of {VARIANTS}",
                 field="variant",
             )
-        if not (np.isfinite(self.alpha_bar) and 0.0 <= self.alpha_bar < 1.0):
-            raise ConfigurationError(
-                f"inertia bound must lie in [0, 1), got {self.alpha_bar}",
-                field="alpha_bar",
-            )
-        if not (np.isfinite(self.nu) and 0.0 < self.nu < 1.0):
-            raise ConfigurationError(
-                f"margin nu must lie in (0, 1), got {self.nu}", field="nu"
-            )
-        for name in ("max_iters", "trace_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ConfigurationError(f"{name} must be an integer >= 1", field=name)
-            setattr(self, name, int(value))
-        if not _valid_steps(self.steps):
-            raise ConfigurationError(
-                f"steps must be 'auto', a number or a (gamma, sigma, tau) triple, not {self.steps!r}",
-                field="steps",
-            )
-        if not (np.isfinite(self.tol) and self.tol >= 0.0):
-            raise ConfigurationError("tol must be finite and >= 0", field="tol")
-        if self.tol_res is not None and not (np.isfinite(self.tol_res) and self.tol_res >= 0.0):
-            raise ConfigurationError("tol_res must be finite and >= 0", field="tol_res")
-        if self.rho_fixed is not None and not 0.0 < self.rho_fixed <= 1.0:
-            raise ConfigurationError("rho_fixed must lie in (0, 1]", field="rho_fixed")
-        if not (np.isfinite(self.rho_scale) and self.rho_scale > 0.0):
-            raise ConfigurationError("rho_scale must be finite and > 0", field="rho_scale")
+        for name, ok, rule in (
+            ("alpha_bar", 0.0 <= self.alpha_bar < 1.0, "lie in [0, 1)"),
+            ("nu", 0.0 < self.nu < 1.0, "lie in (0, 1)"),
+            ("max_iters", self.max_iters >= 1, "be >= 1"),
+            ("trace_every", self.trace_every >= 1, "be >= 1"),
+            ("tol", self.tol >= 0.0, "be >= 0"),
+            ("tol_res", self.tol_res is None or self.tol_res >= 0.0, "be >= 0"),
+            ("rho_fixed", self.rho_fixed is None or 0.0 < self.rho_fixed <= 1.0, "lie in (0, 1]"),
+            ("rho_scale", self.rho_scale > 0.0, "be > 0"),
+        ):
+            if not ok:
+                raise ConfigurationError(
+                    f"{name} must {rule}, got {getattr(self, name)}", field=name
+                )
         if self.diagnostics and self.variant == "sfb":
             raise ConfigurationError(
                 "recursion diagnostics apply to the forward-backward-forward variants",
@@ -141,22 +141,33 @@ class SolverParams:
             ) from None
 
 
-def _valid_steps(steps) -> bool:
-    """Whether steps is "auto", a real number, or a triple of numbers or per-agent arrays."""
-    if isinstance(steps, str):
-        return steps == "auto"
-    if isinstance(steps, bool):
-        return False
-    if isinstance(steps, numbers.Real):
-        return True
-    if not isinstance(steps, (tuple, list)) or len(steps) != 3:
-        return False
+def _step_entry(value):
+    """One entry of a steps triple as a float or a tuple of per-agent floats; None if neither."""
     try:
-        for v in steps:
-            np.asarray(v, dtype=np.float64)
-    except (TypeError, ValueError):
-        return False
-    return True
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting
+        return None
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        return None
+    arr = arr.astype(np.float64)
+    return float(arr) if arr.ndim == 0 else tuple(arr.ravel().tolist())
+
+
+def _stored_steps(steps):
+    """steps as "auto", a float, or a triple of floats and per-agent tuples."""
+    if isinstance(steps, str) and steps == "auto":
+        return steps
+    if is_number(steps):
+        return float(steps)
+    if is_list(steps) and len(steps) == 3:
+        entries = tuple(_step_entry(v) for v in steps)
+        if all(e is not None for e in entries):
+            return entries
+    raise ConfigurationError(
+        "steps must be 'auto', a number, or a (gamma, sigma, tau) triple of "
+        f"numbers or numeric arrays, not {steps!r}",
+        field="steps",
+    )
 
 
 def alpha_schedule(params: SolverParams, k: int) -> float:
@@ -210,8 +221,8 @@ def build_preconditioner(params: SolverParams, op: ExtendedOperator) -> Precondi
                 "automatic steps need a positive operator constant", field="steps"
             )
         return Preconditioner.uniform(part, bound)
-    if isinstance(params.steps, numbers.Real):
-        return Preconditioner.uniform(part, float(params.steps))
+    if isinstance(params.steps, float):
+        return Preconditioner.uniform(part, params.steps)
     # a scalar entry is one step size shared by all agents
     gamma, sigma, tau = (
         np.full(part.num_agents, float(v)) if np.ndim(v) == 0 else v

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, NumericError
+from .errors import ConfigurationError, DimensionMismatchError, NumericError, check_field_types
 
 __all__ = [
     "PHASE_XI",
@@ -50,9 +50,10 @@ class BatchSchedule:
     growth: float = 1.2
 
     def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise ConfigurationError("batch scale must be finite and > 0", field="scale")
-        if not (np.isfinite(self.growth) and self.growth > 1.0):
+        check_field_types(self, coerce=True)
+        if self.scale <= 0.0:
+            raise ConfigurationError("batch scale must be > 0", field="scale")
+        if self.growth <= 1.0:
             raise ConfigurationError(
                 "batch growth exponent must be > 1 for summable 1/S_k", field="growth"
             )

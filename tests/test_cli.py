@@ -42,6 +42,7 @@ def read_csv(path):
 ROUND_TRIP_DOCS = [
     base_doc(),
     base_doc(solver={"variant": "risfbf", "alpha_bar": 0.2, "steps": [0.1, 0.1, 0.2]}),
+    base_doc(problem={"builtin": "affine-two-firms"}, solver={"steps": [[0.1, 0.2], 0.1, 0.1]}),
     base_doc(solver={"batch": {"scale": 2.0, "growth": 1.5}}, noise={"kind": "zero"}),
     base_doc(noise={"kind": "gaussian", "sd": 0.25}, reps=3, out="elsewhere"),
     base_doc(variants=["risfbf", "sfbf", "sfb"]),
@@ -70,6 +71,7 @@ def test_config_rejections():
         (base_doc(reps=0), "reps"),
         (base_doc(variants=["sfbf", "newton"]), "variants"),
         (base_doc(alpha_sweep=[0.5, 1.0]), "alpha_sweep"),
+        (base_doc(alpha_sweep=[]), "alpha_sweep"),
         (base_doc(variants=["risfbf", "sfbf"], alpha_sweep=[0.1]), "variants"),
         (base_doc(solver={"steps": [0.1, 0.2]}), "steps"),
         (base_doc(solver={"batch": {"scale": 1.0, "rate": 2.0}}), "batch"),
@@ -149,6 +151,19 @@ def test_parse_config_raises_only_configuration_errors(mutations):
     assert isinstance(config, RunConfig)
 
 
+def test_command_line_overrides_equal_file_values(tmp_path, capsys):
+    out = str(tmp_path / "d")
+    doc = base_doc(solver={"variant": "risfbf", "max_iters": 20, "tol": 0.0})
+    flags = ["--seed", "3", "--reps", "2", "--variant", "sfbf", "--out", out]
+    assert main(["run", "--config", write_config(tmp_path, doc)] + flags) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        from_flags = json.load(fh)["config"]
+    doc = base_doc(solver={"variant": "sfbf", "max_iters": 20, "tol": 0.0}, seed=3, reps=2, out=out)
+    assert main(["run", "--config", write_config(tmp_path, doc, "file.json")]) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        assert json.load(fh)["config"] == from_flags
+
+
 def test_config_type_error_exits_2_with_json_error(tmp_path, capsys):
     for doc, field in (
         (base_doc(seed="abc"), "seed"),
@@ -195,6 +210,7 @@ _MALFORMED_AFFINE = {
     "graph weights a string": (_affine_doc(graph={"weights": "abc"}), "graph"),
     "graph weight a string": (_affine_doc(graph={"name": "ring", "weight": "heavy"}), "graph"),
     "graph not a mapping": (_affine_doc(graph=3), "graph"),
+    "negative graph seed": (_affine_doc(graph={"name": "erdos-renyi", "p": 0.5, "seed": -1}), "seed"),
 }
 
 
@@ -238,6 +254,7 @@ def test_infinite_box_bound_in_affine_document_runs(tmp_path, capsys):
     ({"seed": "abc"}, "seed"),
     ({"participation": 5}, "participation"),
     ({"demand_q": "x"}, "demand_q"),
+    ({"cost_sd": -1.0}, "cost_sd"),
 ])
 def test_cournot_setting_type_error_exits_2_and_writes_nothing(tmp_path, capsys, settings, field):
     out = tmp_path / "o"
@@ -252,6 +269,19 @@ def test_cournot_setting_type_error_exits_2_and_writes_nothing(tmp_path, capsys,
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["field"]) == ("ConfigurationError", field)
     assert not inst.exists()
+
+
+def test_cournot_settings_that_are_not_a_mapping_exit_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    doc = base_doc(problem={"cournot": [1]}, out=str(out))
+    path = write_config(tmp_path, doc)
+    gen = write_config(tmp_path, [1], "settings.json")
+    for argv in (["run", "--config", path, "--allow-nonmonotone"], ["gen", "cournot", "--config", gen]):
+        assert main(argv) == 2
+        text = capsys.readouterr().err
+        assert "Traceback" not in text
+        assert json.loads(text)["field"] == "config"
+    assert not out.exists()
 
 
 def test_output_files_follow_the_umask(tmp_path, capsys):

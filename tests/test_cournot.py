@@ -88,6 +88,8 @@ def test_config_validation():
     ("participation", [5]),
     ("participation", [[0, "1"]]),
     ("participation", [[0, True]]),
+    ("cost_sd", -1.0),
+    ("cap_sd", -1.0),
 ])
 def test_config_type_errors_name_the_field(field, value):
     with pytest.raises(ConfigurationError) as info:

@@ -108,6 +108,9 @@ def test_generator_validation():
         generate_graph("erdos-renyi", 5, p=None, seed=1)
     with pytest.raises(ConfigurationError):
         generate_graph("erdos-renyi", 5, p=0.5, seed=None)
+    with pytest.raises(ConfigurationError) as info:
+        generate_graph("erdos-renyi", 5, p=0.5, seed=-1)
+    assert info.value.field == "seed"
     g = generate_graph("erdos-renyi", 8, p=0.4, seed=42)
     assert g.num_agents == 8
 

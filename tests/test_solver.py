@@ -5,6 +5,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnes.blockvec import AgentPartition, PrimalDualState
 from gnes import solver
@@ -93,6 +95,69 @@ def test_params_refuse_malformed_steps_counts_and_batches(monotone_small):
     assert np.all(psi.inv_weights == float(np.float32(0.05)))
     # the last size of a fast schedule is the largest, and it fits
     SolverParams(max_iters=5, batch=BatchSchedule(1.0, 300.0))
+
+
+def test_params_refuse_values_of_the_wrong_type():
+    cases = [
+        (SolverParams, dict(tol="a"), "tol"),
+        (SolverParams, dict(alpha_bar=None), "alpha_bar"),
+        (SolverParams, dict(rho_fixed="x"), "rho_fixed"),
+        (SolverParams, dict(nu=float("nan")), "nu"),
+        (SolverParams, dict(variant=3), "variant"),
+        (SolverParams, dict(diagnostics="yes"), "diagnostics"),
+        (SolverParams, dict(enforce_admissibility=1), "enforce_admissibility"),
+        (SolverParams, dict(steps=(0.1, "0.2", 0.1)), "steps"),
+        (SolverParams, dict(steps=(0.1, True, 0.1)), "steps"),
+        (SolverParams, dict(steps=(0.1, [0.1, float("nan")], 0.1)), "steps"),
+        (SolverParams, dict(steps=float("inf")), "steps"),
+        (BatchSchedule, dict(scale="1"), "scale"),
+        (BatchSchedule, dict(growth=None), "growth"),
+    ]
+    for cls, kwargs, name in cases:
+        with pytest.raises(ConfigurationError) as info:
+            cls(**kwargs)
+        assert info.value.field == name, kwargs
+
+
+def test_params_store_numbers_as_float():
+    params = SolverParams(
+        alpha_bar=0, tol=np.int64(0), rho_scale=np.float32(0.5), rho_fixed=1,
+        steps=[1, np.float64(0.5), [0.1, 0.2, 0.3]], batch=BatchSchedule(np.int64(2), 2),
+    )
+    for value in (params.alpha_bar, params.tol, params.rho_scale, params.rho_fixed,
+                  params.batch.scale, params.batch.growth, *params.steps[:2]):
+        assert type(value) is float
+    assert params.steps[2] == (0.1, 0.2, 0.3)
+    assert type(SolverParams(steps=1).steps) is float
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_PARAM_FIELDS = [f.name for f in dataclasses.fields(SolverParams) if f.name != "batch"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.dictionaries(
+        st.sampled_from(_PARAM_FIELDS),
+        _JSON_VALUES | st.lists(_JSON_VALUES, min_size=3, max_size=3),
+        max_size=3,
+    ),
+    batch=st.dictionaries(st.sampled_from(["scale", "growth"]), _JSON_VALUES, max_size=2),
+)
+def test_params_raise_only_configuration_errors(fields, batch):
+    try:
+        fields["batch"] = BatchSchedule(**batch)
+    except ConfigurationError:
+        pass
+    try:
+        params = SolverParams(**fields)
+    except ConfigurationError:
+        return
+    assert isinstance(params, SolverParams)
 
 
 def test_params_refuse_diagnostics_without_a_correction_step():
