@@ -8,14 +8,16 @@ F plus one sparse affine map A x + c (operators.ExtendedOperator). An
 agent node evaluates its own rows of A on a local vector of its own
 blocks and the multiplier blocks its graph neighbours sent, with the
 columns kept in ascending global order; A is an OrderedRows, so those
-rows give the single-process runner's floats by construction. The rest
-of a node's arithmetic repeats the runner's elementwise expressions on
-the node's rows, so the two executors produce bit-identical
-trajectories and traces. Everything around the step (step sizes and
-their checks, the initial state, the schedules, the stopping tests and
-the whole trace) is the single-process runner's loop, solver._drive;
-this module supplies only the step, a round of messages per sample
-point.
+rows give the single-process runner's floats by construction. A node
+samples its rows of F-hat through the runner's own sampling call, with
+its index as the only agent and its own streams, so both executors run
+the same oracle code on the same draws. The rest of a node's arithmetic
+repeats the runner's elementwise expressions on the node's rows, so the
+two executors produce bit-identical trajectories and traces.
+Everything around the step (step sizes and their checks, the initial
+state, the schedules, the stopping tests and the whole trace) is the
+single-process runner's loop, solver._drive; this module supplies only
+the step, a round of messages per sample point.
 
 Messages come in two kinds. A "strategy" message carries one agent's
 decision block to the agents whose costs depend on it (the interaction
@@ -27,17 +29,16 @@ point), a plain forward-backward iteration performs one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blockvec import Preconditioner, PrimalDualState
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError
 from .graph import CommGraph
 from .operators import ExtendedOperator, GameProblem
 from .solver import SolverParams, SolverTrace, _drive
-from .stochastic import PHASE_ETA, PHASE_XI, AgentStreams, SamplingOracle
+from .stochastic import PHASE_ETA, PHASE_XI, AgentStreams, SamplingOracle, _sample_means
 
 __all__ = ["Message", "Exchange", "AgentNode", "NetworkReport", "run_distributed"]
 
@@ -178,6 +179,7 @@ class AgentNode:
         # the decision profile the oracle reads: own and partners' blocks,
         # zeros elsewhere
         self._profile = np.zeros(d)
+        self._fhat = np.empty(d)
         self._own = own
         self._strategy_slots = tuple(
             (("strategy", int(j)), part.primal_slices[int(j)]) for j in problem.interaction[i]
@@ -204,11 +206,7 @@ class AgentNode:
         profile[self._own] = point[: self.dim]
         for key, at in self._strategy_slots:
             profile[at] = inbox[key][0]
-        rng = self.streams.generator(self.index, k, phase) if self.oracle.draws else None
-        fhat = self.oracle.sample_mean(self.index, profile, size, rng)
-        # a non-finite entry propagates through the sum
-        if not math.isfinite(float(fhat.sum())):
-            raise NumericError("stochastic gradient estimate is non-finite", agent=self.index)
+        fhat = _sample_means(self.oracle, profile, size, (self.index,), self.streams, k, phase, self._fhat)
         local = self._local
         local[self._own_at] = point
         for key, lam_at, mu_at in self._dual_slots:
@@ -217,7 +215,7 @@ class AgentNode:
             local[mu_at] = mu
         v = self.kernel(local)
         v += self.offset
-        v[: self.dim] += fhat
+        v[: self.dim] += fhat[self._own]
         return v
 
     def _resolvent(self, v: np.ndarray) -> np.ndarray:
@@ -327,7 +325,7 @@ def run_distributed(
 
         return step
 
-    state, trace = _drive(problem, graph, params, x0, make_step)
+    state, trace = _drive(problem, graph, params, x0, oracle, make_step)
     report = NetworkReport(
         strategy_messages=bus.sent["strategy"],
         dual_messages=bus.sent["dual"],

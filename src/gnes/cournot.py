@@ -34,7 +34,6 @@ __all__ = [
     "CournotConfig",
     "CournotDemandOracle",
     "generate",
-    "monotonicity_probe",
     "estimate_lipschitz",
 ]
 
@@ -241,16 +240,17 @@ class CournotDemandOracle(SamplingOracle):
     a single draw is unbiased for mean_gradient, the instance's
     pseudogradient. The gradient is affine in the slope, hence the
     mini-batch average equals one gradient evaluation at the averaged
-    slope; sample_mean exploits that instead of materializing per-draw
-    gradients. A firm takes its rows of slope_factor on its profile
-    and draws its (size, width) perturbations row by row from its
-    stream; _mean sums each coordinate's size draws as one contiguous
-    row, for one firm's rows or for all of them, so the firm path and
-    the stacked path give the same floats.
+    slope; sample_mean_stack exploits that instead of materializing
+    per-draw gradients. A firm draws its (size, width) perturbations
+    row by row from its stream into its block of one buffer; _mean sums
+    each coordinate's size draws as one contiguous row, over every
+    coordinate at once when all firms are listed and over a firm's own
+    rows otherwise, so both give the same floats.
     """
 
     def __init__(self, layout: _MarketLayout, costs: tuple, config: CournotConfig):
         self._layout = layout
+        self.partition = layout.partition
         self._base = np.concatenate(costs) - config.demand_q
         self._pbar = config.demand_slope
         self._sd = config.demand_sd
@@ -258,30 +258,20 @@ class CournotDemandOracle(SamplingOracle):
         self._exp = config.demand_exponent
         self._sign = config.demand_sign
 
-    def _slopes(self, size: int, width: int, rng: np.random.Generator) -> np.ndarray:
-        eps = rng.normal(0.0, self._sd, size=(size, width))
-        eps.clip(-self._cut, self._cut, out=eps)
-        eps += self._pbar
-        return eps
-
-    def _own_factor(self, agent: int, u: np.ndarray) -> tuple[slice, np.ndarray]:
-        """The agent's slice and its rows of the signed slope factor at u."""
-        own = self._layout.partition.primal_slice(agent)
-        factor = self._layout.slope_factor(u, self._exp)[own]
-        factor *= self._sign
-        return own, factor
-
     def mean_gradient(self, u: np.ndarray) -> np.ndarray:
         """Deterministic stacked gradient at one point or at rows of points."""
         return self._base - self._sign * self._pbar * self._layout.slope_factor(u, self._exp)
 
     def sample_gradient_batch(self, agent, u, size, rng):
-        own, factor = self._own_factor(agent, u)
-        slopes = self._slopes(size, own.stop - own.start, rng)
-        return self._base[own][None, :] - slopes * factor[None, :]
+        own = self.partition.primal_slice(agent)
+        factor = self._sign * self._layout.slope_factor(u, self._exp)[own]
+        slopes = rng.normal(0.0, self._sd, size=(size, own.stop - own.start))
+        slopes.clip(-self._cut, self._cut, out=slopes)
+        slopes += self._pbar
+        return self._base[own] - slopes * factor
 
-    def _mean(self, draws: np.ndarray, factor: np.ndarray, base: np.ndarray, out=None) -> np.ndarray:
-        """base - factor (pbar + mean slope perturbation), one row of draws per coordinate.
+    def _mean(self, draws: np.ndarray, factor: np.ndarray, base: np.ndarray, out: np.ndarray):
+        """out = base - factor (pbar + mean slope perturbation), one row of draws per coordinate.
 
         draws holds standard normal draws and is scaled and clipped in
         place.
@@ -294,23 +284,24 @@ class CournotDemandOracle(SamplingOracle):
         mean_slope /= draws.shape[1]
         mean_slope += self._pbar
         mean_slope *= factor
-        return np.subtract(base, mean_slope, out=out)
+        np.subtract(base, mean_slope, out=out)
 
-    def sample_mean(self, agent, u, size, rng):
-        own, factor = self._own_factor(agent, u)
-        draws = rng.standard_normal((size, own.stop - own.start)).T.copy()
-        return self._mean(draws, factor, self._base[own])
-
-    def sample_mean_stack(self, u, size, streams, iteration, phase, out, partition):
-        # sample_mean for all firms at once: only the draws go firm by firm
+    def sample_mean_stack(self, u, size, agents, generators, out):
+        # only the draws go firm by firm; all firms take one _mean over every coordinate
         layout = self._layout
+        offsets, widths = layout.offsets, layout.widths
         eps = np.empty(size * u.shape[0])
-        for i, (start, width) in enumerate(zip(layout.offsets, layout.widths)):
-            rng = streams.generator(i, iteration, phase)
-            rng.standard_normal(out=eps[start * size : (start + width) * size])
+        for i, rng in zip(agents, generators):
+            rng.standard_normal(out=eps[offsets[i] * size : (offsets[i] + widths[i]) * size])
         factor = layout.slope_factor(u, self._exp)
         factor *= self._sign
-        self._mean(eps[layout.draw_rows(size)], factor, self._base, out=out)
+        rows = layout.draw_rows(size)
+        if len(agents) == len(offsets):
+            self._mean(eps[rows], factor, self._base, out)
+            return
+        for i in agents:
+            own = self.partition.primal_slices[i]
+            self._mean(eps[rows[own]], factor[own], self._base[own], out[own])
 
 
 def estimate_lipschitz(
@@ -345,28 +336,6 @@ def estimate_lipschitz(
     return margin * worst
 
 
-def monotonicity_probe(problem: GameProblem, trials: int = 1000, seed: int = 0) -> float:
-    """Smallest normalized monotonicity gap over random box pairs.
-
-    Returns min <F(u) - F(v), u - v> / ||u - v||^2; a clearly negative
-    value certifies the game is not monotone on the box. Instances are
-    acceptable when the probe stays above -1e-8.
-    """
-    rng = np.random.default_rng([seed, 2])
-    lo, hi = problem.lo_stack, problem.hi_stack
-    worst = np.inf
-    for _ in range(trials):
-        u = rng.uniform(lo, hi)
-        v = rng.uniform(lo, hi)
-        du = u - v
-        nsq = float(np.dot(du, du))
-        if nsq < 1e-20:
-            continue
-        gap = float(np.dot(problem.stacked_gradient(u) - problem.stacked_gradient(v), du))
-        worst = min(worst, gap / nsq)
-    return worst
-
-
 def generate(config: CournotConfig | None = None) -> tuple[GameProblem, CournotDemandOracle, CommGraph]:
     """Draw one benchmark instance from the config's seed.
 
@@ -391,6 +360,11 @@ def generate(config: CournotConfig | None = None) -> tuple[GameProblem, CournotD
         np.maximum(rng.normal(config.cap_mean, config.cap_sd, k), config.cap_floor)
         for k in dims
     )
+    cap_stack = np.concatenate(caps)
+    if not np.any(cap_stack > 0.0):
+        raise ConfigurationError("every capacity box is the single point 0", field="cap_mean")
+    if np.any(cap_stack < 0.0):
+        raise ConfigurationError("a negative capacity leaves its box empty", field="cap_floor")
     budget = rng.uniform(config.budget_lo, config.budget_hi, m)
     d_mats = []
     for i, markets in enumerate(participation):
@@ -412,7 +386,7 @@ def generate(config: CournotConfig | None = None) -> tuple[GameProblem, CournotD
     ell = estimate_lipschitz(
         oracle.mean_gradient,
         np.zeros(part.total_dim),
-        np.concatenate(caps),
+        cap_stack,
         config.seed,
         pairs=config.lipschitz_pairs,
         margin=config.lipschitz_margin,

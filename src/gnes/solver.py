@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockvec import AgentPartition, Preconditioner, PrimalDualState
-from .errors import ConfigurationError, GnesError, NumericError, check_field_types, is_list, is_number
+from .errors import ConfigurationError, DimensionMismatchError, GnesError, NumericError
+from .errors import check_field_types, is_list, is_number
 from .graph import CommGraph
 from .operators import ExtendedOperator, GameProblem, residual_res
 from .stochastic import (
@@ -528,16 +529,17 @@ def _drive(
     graph: CommGraph,
     params: SolverParams,
     x0: PrimalDualState | None,
+    oracle: SamplingOracle,
     make_step,
     r_psi_only: bool = False,
 ) -> tuple[PrimalDualState, SolverTrace]:
     """The iteration loop of both executors.
 
     make_step(op, psi, x0) returns step(k, x, x_prev, alpha, rho, size),
-    which gives X_{k+1} and its mid-iteration points (or None); the
-    loop owns everything around it: step sizes and their checks, the
-    initial state, the schedules and the recorder. r_psi_only is passed
-    to the recorder.
+    which gives X_{k+1} and its mid-iteration points (or None), drawing
+    from oracle; the loop owns everything around it: step sizes and
+    their checks, the initial state, the oracle's partition, the
+    schedules and the recorder. r_psi_only is passed to the recorder.
     """
     part = problem.partition
     op = ExtendedOperator(problem, graph)
@@ -549,6 +551,8 @@ def _drive(
         raise ConfigurationError("initial state has a different partition", field="x0")
     if np.any(x0.data[part.total_dim + part.dual_dim :] < 0.0):
         raise ConfigurationError("initial multiplier copies must be nonnegative", field="x0")
+    if getattr(oracle, "partition", None) != part:
+        raise DimensionMismatchError("oracle partition differs from the problem's", block="oracle")
     ell = op.lipschitz_ell_V * psi.max_step
     x_prev = x = x0.data.copy()  # X_{-1} = X_0; no step writes into its inputs
     rec = _RunRecorder(op, psi, params, ell, x, r_psi_only)
@@ -591,7 +595,7 @@ def run(
     one row per executed iteration at that decimation, and the final
     iterate's metrics are stored on the trace separately.
     """
-    return _drive(problem, graph, params, x0, _sampled_steps(oracle, params, seed))
+    return _drive(problem, graph, params, x0, oracle, _sampled_steps(oracle, params, seed))
 
 
 def _sampled_steps(oracle: SamplingOracle, params: SolverParams, seed: int):
@@ -631,9 +635,9 @@ def solve_ground_truth(
         trace_every=10,
         batch=BatchSchedule(1.0, 1.2),
     )
+    oracle = ZeroNoiseOracle(problem)
     state, trace = _drive(
-        problem, graph, params, None, _sampled_steps(ZeroNoiseOracle(problem), params, 0),
-        r_psi_only=True,
+        problem, graph, params, None, oracle, _sampled_steps(oracle, params, 0), r_psi_only=True
     )
     if trace.final_r_psi >= params.tol:
         raise NumericError(

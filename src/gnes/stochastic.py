@@ -64,17 +64,6 @@ class BatchSchedule:
         return max(1, math.ceil(self.scale * (k + 1) ** self.growth))
 
 
-def _pack_key(seed: int, agent: int, iteration: int, phase: int) -> np.ndarray:
-    if not 0 <= agent < (1 << _AGENT_BITS):
-        raise ConfigurationError(f"agent index {agent} out of key range", field="agent")
-    if not 0 <= iteration < (1 << _ITER_BITS):
-        raise ConfigurationError(f"iteration {iteration} out of key range", field="iteration")
-    if phase not in (PHASE_XI, PHASE_ETA):
-        raise ConfigurationError(f"unknown phase {phase}", field="phase")
-    lo = (agent << (_ITER_BITS + _PHASE_BITS)) | (iteration << _PHASE_BITS) | phase
-    return np.array([seed & 0xFFFFFFFFFFFFFFFF, lo], dtype=np.uint64)
-
-
 class AgentStreams:
     """Deterministic per-agent random streams for one run.
 
@@ -95,7 +84,12 @@ class AgentStreams:
     def generator(self, agent: int, iteration: int, phase: int) -> np.random.Generator:
         slot = self._slots.get((agent, phase))
         if slot is None:
-            key = _pack_key(self.seed, agent, 0, phase)
+            if not 0 <= agent < (1 << _AGENT_BITS):
+                raise ConfigurationError(f"agent index {agent} out of key range", field="agent")
+            if phase not in (PHASE_XI, PHASE_ETA):
+                raise ConfigurationError(f"unknown phase {phase}", field="phase")
+            # the key's second word is set to (agent, iteration, phase) before each use
+            key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
             bg = np.random.Philox(key=key)
             gen = np.random.Generator(bg)
             state = bg.state
@@ -107,23 +101,22 @@ class AgentStreams:
             self._slots[(agent, phase)] = slot
         bg, gen, state, key = slot
         if not 0 <= iteration < (1 << _ITER_BITS):
-            raise ConfigurationError(
-                f"iteration {iteration} out of key range", field="iteration"
-            )
+            raise ConfigurationError(f"iteration {iteration} out of key range", field="iteration")
         key[1] = (agent << (_ITER_BITS + _PHASE_BITS)) | (iteration << _PHASE_BITS) | phase
         bg.state = state
         return gen
 
 
 class SamplingOracle:
-    """Per-agent stochastic gradient sampler.
+    """Per-agent stochastic gradient sampler over a fixed agent partition.
 
-    Subclasses implement sample_gradient_batch, returning one gradient
-    draw per row. sample_mean must have the same distribution as the
-    row average of that batch; the default computes exactly that
-    average, and subclasses may override it with a shortcut that draws
-    the average from its own law. draws is False for an oracle whose
-    sample_mean ignores its generator, so no stream is keyed for it.
+    A subclass sets partition (its problem's AgentPartition) and
+    implements sample_gradient_batch, one gradient draw per row. It may
+    override sample_mean_stack, which writes the mini-batch mean of each
+    listed agent into that agent's rows of out, drawn from the generator
+    paired with the agent; the default averages sample_gradient_batch.
+    Both executors and sample_mean sample through that one method. draws
+    is False for an oracle that ignores its generators: no stream is keyed.
     """
 
     draws = True
@@ -133,44 +126,20 @@ class SamplingOracle:
     ) -> np.ndarray:
         raise NotImplementedError
 
+    def sample_mean_stack(self, u, size, agents, generators, out):
+        """Write each listed agent's mini-batch mean at u into its rows of out."""
+        slices = self.partition.primal_slices
+        for i, rng in zip(agents, generators):
+            out[slices[i]] = self.sample_gradient_batch(i, u, size, rng).mean(axis=0)
+
     def sample_mean(
         self, agent: int, u: np.ndarray, size: int, rng: np.random.Generator
     ) -> np.ndarray:
-        return self.sample_gradient_batch(agent, u, size, rng).mean(axis=0)
-
-    def sample_mean_stack(self, u, size, streams, iteration, phase, out, partition):
-        """Write every agent's sample_mean into the stacked buffer.
-
-        The single-process solver samples through here and an agent node
-        through sample_mean, so an override gives this loop's floats,
-        draw for draw. The oracles below do so by evaluating F once and
-        keeping, for each agent, the arithmetic of its sample_mean on
-        its own rows.
-        """
-        slices = partition.primal_slices
-        for i in range(len(slices)):
-            out[slices[i]] = self.sample_mean(i, u, size, streams.generator(i, iteration, phase))
-
-
-class ZeroNoiseOracle(SamplingOracle):
-    """Returns the deterministic gradient; draws nothing from the stream."""
-
-    draws = False
-
-    def __init__(self, problem):
-        self.problem = problem
-
-    def sample_gradient_batch(self, agent, u, size, rng):
-        g = self.problem.gradient(agent, u)
-        return np.broadcast_to(g, (size, g.shape[0]))
-
-    def sample_mean(self, agent, u, size, rng):
-        # exact: the average of identical rows is the row itself
-        return self.problem.gradient(agent, u)
-
-    def sample_mean_stack(self, u, size, streams, iteration, phase, out, partition):
-        # F(u) in one call; no stream is keyed, since nothing is drawn
-        out[...] = self.problem.stacked_gradient(u)
+        """One agent's mini-batch mean at u, drawn from rng: its rows of sample_mean_stack."""
+        own = self.partition.primal_slice(agent)
+        out = np.empty(self.partition.total_dim)
+        self.sample_mean_stack(u, size, (agent,), (rng,), out)
+        return out[own]
 
 
 class AdditiveGaussianOracle(SamplingOracle):
@@ -180,25 +149,65 @@ class AdditiveGaussianOracle(SamplingOracle):
         if not (np.isfinite(sd) and sd >= 0.0):
             raise ConfigurationError("noise level must be finite and >= 0", field="sd")
         self.problem = problem
+        self.partition = problem.partition
         self.sd = float(sd)
 
     def sample_gradient_batch(self, agent, u, size, rng):
         g = self.problem.gradient(agent, u)
         return g[None, :] + rng.normal(0.0, self.sd, size=(size, g.shape[0]))
 
-    def sample_mean(self, agent, u, size, rng):
-        # the mean of size draws from N(g, sd^2 I) is N(g, sd^2 / size I),
-        # so one draw per coordinate replaces size of them
-        g = self.problem.gradient(agent, u)
-        return g + rng.normal(0.0, self.sd / math.sqrt(size), size=g.shape[0])
+    def sample_mean_stack(self, u, size, agents, generators, out):
+        # one F(u) for all agents; a subset takes each agent's own rows, so a
+        # non-finite gradient is reported for that agent only
+        slices = self.partition.primal_slices
+        if len(agents) == len(slices):
+            out[...] = self.problem.stacked_gradient(u)
+        else:
+            for i in agents:
+                out[slices[i]] = self.problem.gradient(i, u)
+        if self.draws:
+            # the mean of size draws from N(g, sd^2 I) is N(g, sd^2 / size I),
+            # so one draw per coordinate replaces size of them
+            sd = self.sd / math.sqrt(size)
+            for i, rng in zip(agents, generators):
+                sl = slices[i]
+                out[sl] += rng.normal(0.0, sd, size=sl.stop - sl.start)
 
-    def sample_mean_stack(self, u, size, streams, iteration, phase, out, partition):
-        # F(u) in one call, then each agent's noise from its own stream
-        # added to its slice: the floats of sample_mean agent by agent
-        out[...] = self.problem.stacked_gradient(u)
-        sd = self.sd / math.sqrt(size)
-        for i, sl in enumerate(partition.primal_slices):
-            out[sl] += streams.generator(i, iteration, phase).normal(0.0, sd, size=sl.stop - sl.start)
+
+class ZeroNoiseOracle(AdditiveGaussianOracle):
+    """The Gaussian oracle at sd = 0: the deterministic gradient, keying no stream."""
+
+    draws = False
+
+    def __init__(self, problem):
+        super().__init__(problem, 0.0)
+
+    def sample_gradient_batch(self, agent, u, size, rng):
+        g = self.problem.gradient(agent, u)
+        return np.broadcast_to(g, (size, g.shape[0]))
+
+
+def _sample_means(oracle, u, size, agents, streams, iteration, phase, out):
+    """The listed agents' mini-batch means at u, in their rows of out.
+
+    Each agent draws from its stream keyed by (iteration, phase); an
+    oracle that draws nothing keys none. A non-finite mean raises
+    NumericError naming its agent.
+    """
+    if oracle.draws:
+        generators = [streams.generator(i, iteration, phase) for i in agents]
+    else:
+        generators = [None] * len(agents)
+    oracle.sample_mean_stack(u, size, agents, generators, out)
+    slices = oracle.partition.primal_slices
+    rows = out if len(agents) == len(slices) else np.concatenate([out[slices[i]] for i in agents])
+    # a bad entry propagates through the sum; its block is located only on failure
+    if not math.isfinite(float(rows.sum())):
+        for i in agents:
+            if not np.all(np.isfinite(out[slices[i]])):
+                raise NumericError("stochastic gradient estimate is non-finite", agent=i)
+        raise NumericError("stochastic gradient estimate is non-finite")
+    return out
 
 
 def sample_F_hat(
@@ -208,28 +217,19 @@ def sample_F_hat(
     streams: AgentStreams,
     iteration: int,
     phase: int,
-    partition,
 ) -> np.ndarray:
-    """Stacked mini-batch estimate of F(u): each agent's sample_mean at batch size `size`."""
+    """Stacked mini-batch estimate of F(u): every agent's sample_mean at batch size `size`."""
     if size < 1:
         raise ConfigurationError("batch size must be >= 1", field="size")
+    part = oracle.partition
     u = np.asarray(u, dtype=np.float64)
-    if u.shape != (partition.total_dim,):
+    if u.shape != (part.total_dim,):
         raise DimensionMismatchError(
-            f"decision vector has shape {u.shape}, expected ({partition.total_dim},)",
+            f"decision vector has shape {u.shape}, expected ({part.total_dim},)",
             block="u",
         )
-    out = np.empty(partition.total_dim)
-    oracle.sample_mean_stack(u, size, streams, iteration, phase, out, partition)
-    # one finiteness test on the assembled vector; a bad entry propagates
-    # through the sum, and the offending block is located only on failure
-    if not math.isfinite(float(out.sum())):
-        slices = partition.primal_slices
-        for i in range(len(slices)):
-            if not np.all(np.isfinite(out[slices[i]])):
-                raise NumericError("stochastic gradient estimate is non-finite", agent=i)
-        raise NumericError("stochastic gradient estimate is non-finite")
-    return out
+    out = np.empty(part.total_dim)
+    return _sample_means(oracle, u, size, range(part.num_agents), streams, iteration, phase, out)
 
 
 def sample_V_hat(
@@ -247,7 +247,6 @@ def sample_V_hat(
     constraint blocks are exact. Each call returns a new array, so an
     estimate the caller holds stays valid across later calls.
     """
-    part = op.problem.partition
-    fvals = sample_F_hat(oracle, x[: part.total_dim], size, streams, iteration, phase, part)
-    return op.v_flat(x, fvals)
+    d = op.problem.partition.total_dim
+    return op.v_flat(x, sample_F_hat(oracle, x[:d], size, streams, iteration, phase))
 

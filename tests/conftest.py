@@ -151,6 +151,28 @@ def dykstra_projection(problem, v, tol=1e-13, max_sweeps=200_000):
     raise AssertionError("reference projection did not converge")
 
 
+def monotonicity_probe(problem, trials=1000, seed=0):
+    """Smallest normalized monotonicity gap over random box pairs.
+
+    Returns min <F(u) - F(v), u - v> / ||u - v||^2; a clearly negative
+    value certifies the game is not monotone on the box. Instances are
+    acceptable when the probe stays above -1e-8.
+    """
+    rng = np.random.default_rng([seed, 2])
+    lo, hi = problem.lo_stack, problem.hi_stack
+    worst = np.inf
+    for _ in range(trials):
+        u = rng.uniform(lo, hi)
+        v = rng.uniform(lo, hi)
+        du = u - v
+        nsq = float(np.dot(du, du))
+        if nsq < 1e-20:
+            continue
+        gap = float(np.dot(problem.stacked_gradient(u) - problem.stacked_gradient(v), du))
+        worst = min(worst, gap / nsq)
+    return worst
+
+
 def estimate_noise_bound(oracle, problem, seed, points=10, draws=200):
     """Empirical sigma with E||F_hat - F||^2 <= sigma^2 at batch one.
 

@@ -271,6 +271,24 @@ def test_cournot_setting_type_error_exits_2_and_writes_nothing(tmp_path, capsys,
     assert not inst.exists()
 
 
+@pytest.mark.parametrize("settings,field", [
+    ({"cap_mean": -100.0, "cap_sd": 0.0}, "cap_mean"),
+    ({"cap_mean": 0.0, "cap_sd": 0.0, "cap_floor": -10.0}, "cap_mean"),
+    ({"cap_mean": 0.0, "cap_sd": 50.0, "cap_floor": -10.0}, "cap_floor"),
+])
+def test_capacities_without_room_exit_2_naming_the_setting(tmp_path, capsys, settings, field):
+    # every box the single point 0 names cap_mean; a negative capacity
+    # (an empty box [0, cap]) names cap_floor
+    out = tmp_path / "o"
+    doc = base_doc(problem={"cournot": settings}, out=str(out))
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    text = capsys.readouterr().err
+    assert "Traceback" not in text
+    err = json.loads(text)
+    assert (err["error"], err["field"]) == ("ConfigurationError", field)
+    assert not out.exists()
+
+
 def test_cournot_settings_that_are_not_a_mapping_exit_2(tmp_path, capsys):
     out = tmp_path / "o"
     doc = base_doc(problem={"cournot": [1]}, out=str(out))

@@ -9,11 +9,12 @@ from gnes.cournot import (
     CournotDemandOracle,
     estimate_lipschitz,
     generate,
-    monotonicity_probe,
 )
 from gnes.errors import ConfigurationError
 from gnes.instances import load_document
 from gnes.stochastic import PHASE_ETA, AgentStreams
+
+from conftest import monotonicity_probe
 
 
 def two_firm_config(**overrides):
@@ -262,7 +263,9 @@ def test_stacked_sampling_matches_per_firm_path():
     for size in (1, 7, 8, 13, 130):
         for k in range(20):
             u = rng.uniform(0.0, 200.0, part.total_dim)
-            oracle.sample_mean_stack(u, size, AgentStreams(42), k, PHASE_ETA, out, part)
+            agents = range(part.num_agents)
+            generators = [AgentStreams(42).generator(i, k, PHASE_ETA) for i in agents]
+            oracle.sample_mean_stack(u, size, agents, generators, out)
             streams = AgentStreams(42)
             for i in range(part.num_agents):
                 block = oracle.sample_mean(i, u, size, streams.generator(i, k, PHASE_ETA))

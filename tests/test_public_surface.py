@@ -6,6 +6,7 @@ import pkgutil
 from pathlib import Path
 
 import gnes
+from gnes.stochastic import SamplingOracle
 
 
 def test_every_exported_name_resolves():
@@ -33,3 +34,15 @@ def test_every_benchmark_entry_point_resolves():
         owner_name, _, attr = attr_path.rpartition(".")
         owner = getattr(module, owner_name) if owner_name else module
         assert callable(vars(owner).get(attr)), span
+
+
+def test_no_oracle_defines_its_own_sample_mean():
+    # sample_mean is defined once, on the base class, over sample_mean_stack;
+    # an oracle overriding it would fork the single-agent path from the stacked one
+    modules = [importlib.import_module(f"gnes.{info.name}") for info in pkgutil.iter_modules(gnes.__path__)]
+    oracles = {
+        value for mod in modules for value in vars(mod).values()
+        if isinstance(value, type) and issubclass(value, SamplingOracle) and value is not SamplingOracle
+    }
+    assert len(oracles) >= 3
+    assert not [cls.__qualname__ for cls in oracles if "sample_mean" in vars(cls)]

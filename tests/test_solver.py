@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gnes.blockvec import AgentPartition, PrimalDualState
 from gnes import solver
 from gnes.agentnet import run_distributed
-from gnes.errors import ConfigurationError, NumericError, ToleranceError
+from gnes.errors import ConfigurationError, DimensionMismatchError, NumericError, ToleranceError
 from gnes.operators import ExtendedOperator, residual_res
 from gnes.solver import (
     SolverParams,
@@ -398,13 +398,51 @@ def test_run_validates_initial_state(monotone_small, executor):
     assert info.value.field == "x0"
 
 
+@pytest.mark.parametrize("executor", ["single", "network"])
+def test_oracle_of_another_partition_is_refused(monotone_small, two_firms, executor):
+    problem, graph = monotone_small
+    other, _ = two_firms
+    runner = run if executor == "single" else run_distributed
+    with pytest.raises(DimensionMismatchError) as info:
+        runner(problem, graph, AdditiveGaussianOracle(other, sd=0.1), SolverParams(max_iters=2))
+    assert info.value.block == "oracle"
+
+
+class _BatchOnlyOracle(SamplingOracle):
+    """Defines batches only, so both executors sample through the base-class default."""
+
+    def __init__(self, problem, bad_agent=None):
+        self.problem = problem
+        self.partition = problem.partition
+        self.bad_agent = bad_agent
+
+    def sample_gradient_batch(self, agent, u, size, rng):
+        g = self.problem.gradient(agent, u)
+        if agent == self.bad_agent:
+            g = np.full_like(g, np.inf)
+        return g[None, :] + rng.normal(0.0, 0.2, size=(size, g.shape[0]))
+
+
+@pytest.mark.parametrize("variant", ["sfbf", "sfb"])
+def test_batch_only_oracle_gives_the_same_run_on_both_executors(monotone_small, variant):
+    problem, graph = monotone_small
+    params = SolverParams(variant=variant, max_iters=40, tol=0.0, batch=BatchSchedule(2.0, 1.2))
+    _, single = run(problem, graph, _BatchOnlyOracle(problem), params, seed=5)
+    _, network, _ = run_distributed(problem, graph, _BatchOnlyOracle(problem), params, seed=5)
+    assert single.state_hash == network.state_hash
+    assert single.iterations == network.iterations == 40
+    for runner in (run, run_distributed):
+        with pytest.raises(NumericError) as info:
+            runner(problem, graph, _BatchOnlyOracle(problem, bad_agent=1), params, seed=5)
+        assert info.value.agent == 1
+
+
 def test_numeric_error_carries_partial_trace(monotone_small):
     problem, graph = monotone_small
     part = problem.partition
 
     class ExplodingOracle(SamplingOracle):
-        def dim(self, agent):
-            return part.dims[agent]
+        partition = part
 
         def sample_gradient_batch(self, agent, u, size, rng):
             return np.full((size, part.dims[agent]), np.inf)

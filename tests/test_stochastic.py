@@ -116,23 +116,27 @@ def test_zero_noise_stack_is_the_agent_loop_and_keys_no_stream(instance):
     else:
         problem, _ = load_builtin(instance)
     part = problem.partition
+    n = part.num_agents
     oracle = ZeroNoiseOracle(problem)
     rng = np.random.default_rng(6)
     out = np.empty(part.total_dim)
-    expected = np.empty(part.total_dim)
     for k in range(8):
         u = rng.uniform(-1.0, 200.0, part.total_dim)
-        oracle.sample_mean_stack(u, 7, _NoStreams(), k, PHASE_ETA, out, part)
-        SamplingOracle.sample_mean_stack(oracle, u, 7, AgentStreams(1), k, PHASE_ETA, expected, part)
+        expected = np.concatenate([problem.gradient(i, u) for i in range(n)])
+        oracle.sample_mean_stack(u, 7, range(n), [None] * n, out)
         assert np.array_equal(out, expected), k
-        assert np.array_equal(sample_F_hat(oracle, u, 7, _NoStreams(), k, PHASE_ETA, part), expected)
+        assert np.array_equal(sample_F_hat(oracle, u, 7, _NoStreams(), k, PHASE_ETA), expected)
+        for i in range(n):
+            assert np.array_equal(oracle.sample_mean(i, u, 7, None), expected[part.primal_slice(i)])
 
 
 def test_default_sample_mean_is_row_average():
     problem, _ = load_builtin("affine-two-firms")
 
     class BatchOnlyOracle(SamplingOracle):
-        # defines batches only, so sample_mean is the base-class default
+        # defines batches only, so sample_mean_stack is the base-class default
+        partition = problem.partition
+
         def sample_gradient_batch(self, agent, u, size, rng):
             g = problem.gradient(agent, u)
             return g[None, :] + rng.normal(0.0, 0.5, size=(size, g.shape[0]))
@@ -150,7 +154,7 @@ def test_sample_F_hat_matches_per_agent_loop():
     part = problem.partition
     oracle = AdditiveGaussianOracle(problem, sd=0.1)
     u = np.full(part.total_dim, 0.2)
-    stacked = sample_F_hat(oracle, u, 4, AgentStreams(3), 11, PHASE_XI, part)
+    stacked = sample_F_hat(oracle, u, 4, AgentStreams(3), 11, PHASE_XI)
     expected = np.empty(part.total_dim)
     streams = AgentStreams(3)
     for i in range(part.num_agents):
@@ -166,7 +170,9 @@ def test_sample_mean_stack_matches_sample_mean():
     oracle = AdditiveGaussianOracle(problem, sd=0.3)
     u = np.linspace(0.0, 1.0, part.total_dim)
     out = np.empty(part.total_dim)
-    oracle.sample_mean_stack(u, 5, AgentStreams(8), 2, PHASE_ETA, out, part)
+    agents = range(part.num_agents)
+    generators = [AgentStreams(8).generator(i, 2, PHASE_ETA) for i in agents]
+    oracle.sample_mean_stack(u, 5, agents, generators, out)
     streams = AgentStreams(8)
     for i in range(part.num_agents):
         block = oracle.sample_mean(i, u, 5, streams.generator(i, 2, PHASE_ETA))
@@ -178,8 +184,7 @@ def test_sample_F_hat_reports_offending_agent():
     part = problem.partition
 
     class BrokenOracle(SamplingOracle):
-        def dim(self, agent):
-            return part.dims[agent]
+        partition = part
 
         def sample_gradient_batch(self, agent, u, size, rng):
             out = np.zeros((size, part.dims[agent]))
@@ -188,7 +193,7 @@ def test_sample_F_hat_reports_offending_agent():
             return out
 
     with pytest.raises(NumericError) as info:
-        sample_F_hat(BrokenOracle(), np.zeros(2), 2, AgentStreams(0), 0, PHASE_XI, part)
+        sample_F_hat(BrokenOracle(), np.zeros(2), 2, AgentStreams(0), 0, PHASE_XI)
     assert info.value.agent == 1
 
 
@@ -200,7 +205,7 @@ def test_sample_V_hat_composes_estimate_with_operator():
     rng = np.random.default_rng(5)
     x = rng.normal(size=part.state_dim)
     got = sample_V_hat(op, oracle, x, 3, AgentStreams(17), 9, PHASE_XI).copy()
-    fhat = sample_F_hat(oracle, x[: part.total_dim], 3, AgentStreams(17), 9, PHASE_XI, part)
+    fhat = sample_F_hat(oracle, x[: part.total_dim], 3, AgentStreams(17), 9, PHASE_XI)
     assert np.array_equal(got, op.v_flat(x, fhat))
 
 
