@@ -34,6 +34,15 @@ class AgentPartition:
         Decision dimension of each agent, all >= 1.
     constraint_dim : int
         Number m of shared affine constraint rows, >= 1.
+
+    Attributes
+    ----------
+    total_dim : int
+        Total primal dimension d = sum of the agent dims.
+    dual_dim : int
+        Length of one stacked dual vector, N * m.
+    state_dim : int
+        Length of a full primal-dual state, d + 2 N m.
     """
 
     dims: tuple[int, ...]
@@ -51,30 +60,20 @@ class AgentPartition:
         object.__setattr__(self, "constraint_dim", int(self.constraint_dim))
         offsets = np.zeros(len(dims) + 1, dtype=np.int64)
         np.cumsum(dims, out=offsets[1:])
-        object.__setattr__(self, "_offsets", offsets)
         slices = tuple(
             slice(int(offsets[i]), int(offsets[i + 1])) for i in range(len(dims))
         )
         object.__setattr__(self, "primal_slices", slices)
+        # plain ints computed once: the sampling path reads them on every call
+        total_dim = int(offsets[-1])
+        dual_dim = len(dims) * self.constraint_dim
+        object.__setattr__(self, "total_dim", total_dim)
+        object.__setattr__(self, "dual_dim", dual_dim)
+        object.__setattr__(self, "state_dim", total_dim + 2 * dual_dim)
 
     @property
     def num_agents(self) -> int:
         return len(self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        """Total primal dimension d = sum of the agent dims."""
-        return int(self._offsets[-1])
-
-    @property
-    def dual_dim(self) -> int:
-        """Length of one stacked dual vector, N * m."""
-        return self.num_agents * self.constraint_dim
-
-    @property
-    def state_dim(self) -> int:
-        """Length of a full primal-dual state, d + 2 N m."""
-        return self.total_dim + 2 * self.dual_dim
 
     def primal_slice(self, i: int) -> slice:
         self._check_agent(i)

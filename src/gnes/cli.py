@@ -314,12 +314,16 @@ def write_trace(path: str, trace, report=None):
     write_csv(path, header, trace_rows(trace, report))
 
 
-def _replications(problem, graph, oracle, params, config: RunConfig):
-    """Run the replications with seeds base, base + 1, ...: (r, trace, summary row)."""
+def _replications(problem, graph, oracle, params, config: RunConfig, reference=None):
+    """Run the replications with seeds base, base + 1, ...: (r, trace, summary row).
+
+    reference is passed to every run, for the recursion checks of a
+    diagnostics run.
+    """
     for r in range(config.reps):
         seed = config.seed + r
         t0 = time.perf_counter()
-        _, trace = run(problem, graph, oracle, params, seed=seed)
+        _, trace = run(problem, graph, oracle, params, seed=seed, reference=reference)
         wall = time.perf_counter() - t0
         yield r, trace, {
             "seed": seed,
@@ -372,7 +376,7 @@ def cmd_run(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     out = config.out
     traces = []
     replications = []
-    for r, trace, summary in _replications(problem, graph, oracle, params, config):
+    for r, trace, summary in _replications(problem, graph, oracle, params, config, reference):
         report = diagnostics_check(trace, reference) if reference is not None else None
         write_trace(os.path.join(out, f"trace_rep{r}.csv"), trace, report)
         traces.append(trace)
@@ -393,7 +397,7 @@ def cmd_run(config: RunConfig, allow_nonmonotone: bool = False) -> int:
 
 
 def _compare_points(config: RunConfig) -> list:
-    # compare reads no recursion payloads, so its runs keep none
+    # compare reads no recursion checks, so its runs evaluate none
     base = dataclasses.replace(config.solver, diagnostics=False)
     if config.variants is not None:
         if len(config.variants) < 2:
@@ -472,7 +476,7 @@ def cmd_verify(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     problem, graph, instance_oracle = resolve_problem(config, allow_nonmonotone)
     oracle = resolve_oracle(config, problem, instance_oracle)
     reference, _ = solve_ground_truth(problem, graph)
-    _, trace = run(problem, graph, oracle, params, seed=config.seed)
+    _, trace = run(problem, graph, oracle, params, seed=config.seed, reference=reference)
     report = diagnostics_check(trace, reference)
     tol = report.tol
 
@@ -485,8 +489,7 @@ def cmd_verify(config: RunConfig, allow_nonmonotone: bool = False) -> int:
     # only Y_k passes through the resolvent each iteration; the relaxed
     # X_{k+1} and the extrapolated Z_k can dip below zero in the
     # multiplier block, so the sign check applies to Y_k alone
-    lam = problem.partition.total_dim + problem.partition.dual_dim
-    floors = np.array([float(y[lam:].min()) for y in trace.diag.Y])
+    floors = np.array(trace.recursion.multiplier_floor, dtype=np.float64)
     checks.append(("multiplier_sign", np.flatnonzero(floors < -tol), _least(floors)))
     if isinstance(oracle, ZeroNoiseOracle) and trace.r_psi:
         progress = trace.r_psi[0] - trace.final_r_psi

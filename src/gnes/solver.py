@@ -311,7 +311,7 @@ def feasibility_gap(problem: GameProblem, u: np.ndarray) -> float:
 
 
 class SolverTrace:
-    """Per-iteration scalars of one run plus optional recursion payloads.
+    """Per-iteration scalars of one run plus, for a diagnostics run, its recursion rows.
 
     One row is appended for every iteration that executes a step, at
     the decimation set by trace_every (row k describes the iterate X_k
@@ -337,7 +337,11 @@ class SolverTrace:
         self.final_res = math.nan
         self.final_consensus_gap = math.nan
         self.final_feas_gap = math.nan
-        self.diag: _DiagnosticsData | None = None
+        self.recursion: _RecursionRows | None = None
+        # always None: runs keep no per-iteration vectors any more, but
+        # perfbench/workloads.py::diag_payload_bytes still reads this
+        # attribute, so it stays until that function is retired
+        self.diag = None
         self._hasher = hashlib.sha256()
 
     def _hash_state(self, x: np.ndarray):
@@ -348,32 +352,89 @@ class SolverTrace:
         self.state_hash = self._hasher.hexdigest()
 
 
-class _DiagnosticsData:
-    """Raw per-iteration material for the recursion checks."""
+_REPORT_ARRAYS = ("dm", "dn", "h", "delta", "fr_slack", "yzg_slack", "coupling")
 
-    def __init__(self, psi: Preconditioner, nu: float, ell_v_psi: float):
-        self.weights = psi.weights.copy()
-        self.inv_weights = psi.inv_weights.copy()
-        self.nu = nu
-        self.ell_v_psi = ell_v_psi
-        self.states: list[np.ndarray] = []
-        self.Z: list[np.ndarray] = []
-        self.Y: list[np.ndarray] = []
-        self.U: list[np.ndarray] = []
-        self.W: list[np.ndarray] = []
-        self.r_psi_z: list[float] = []
-        self.alphas: list[float] = []
-        self.rhos: list[float] = []
+
+class _RecursionRows:
+    """The recursion quantities of a diagnostics run, evaluated as it runs.
+
+    Each iteration appends one float to every list: the arrays of
+    DiagnosticsReport, and the smallest multiplier entry of Y_k, which
+    passes through the resolvent. The vectors an iteration needs (X_{k-1},
+    X_k, X_{k+1} and the step's mid-iteration points) are dropped after
+    it, so memory does not grow with the run length beyond these floats.
+    """
+
+    def __init__(self, psi: Preconditioner, nu: float, ell_v_psi: float, reference: PrimalDualState):
+        part = reference.partition
+        self.reference = reference.data.copy()
+        self._weights = psi.weights
+        self._inv_weights = psi.inv_weights
+        self._nu = nu
+        self._ell = ell_v_psi
+        self._lam = part.total_dim + part.dual_dim
+        self.dm: list[float] = []
+        self.dn: list[float] = []
+        self.h: list[float] = []
+        self.delta: list[float] = []
+        self.fr_slack: list[float] = []
+        self.yzg_slack: list[float] = []
+        self.coupling: list[float] = []
+        self.multiplier_floor: list[float] = []
+
+    def _nsq(self, v: np.ndarray) -> float:
+        return float(np.dot(self._weights * v, v))
+
+    def _nsq_inv(self, v: np.ndarray) -> float:
+        return float(np.dot(self._inv_weights * v, v))
+
+    def append(self, op: ExtendedOperator, x_prev, x, x_next, mid: tuple, a: float, rho: float):
+        """Evaluate iteration k from X_{k-1}, X_k, X_{k+1} and (Z, Y, V_hat(Z), V_hat(Y))."""
+        z, y, vz_hat, vy_hat = mid
+        nu, ell, pa = self._nu, self._ell, self.reference
+        nsq, nsq_inv = self._nsq, self._nsq_inv
+        vz = op.v_flat(z)
+        jz = op.resolvent_flat(z - self._inv_weights * vz)
+        u = vz_hat - vz
+        w = vy_hat - op.v_flat(y)
+        e = w - u
+        rsq = float(np.linalg.norm(z - jz)) ** 2
+        gain = (3.0 - nu) / (2.0 * rho * (1.0 + ell))
+        dm = (3.0 - nu) * rho / (1.0 + ell) * nsq_inv(e) + nu * rho * nsq_inv(u)
+        dn = 2.0 * rho * float(np.dot(w, pa - y))
+        prev_coeff = a * (2.0 * a + gain * (1.0 - a))
+        next_coeff = (1.0 - a) * (gain - 1.0)
+        dprev = nsq(x - x_prev)
+        dnext = nsq(x_next - x)
+        lhs = nsq(x_next - pa)
+        rhs = (
+            (1.0 + a) * nsq(x - pa)
+            - a * nsq(x_prev - pa)
+            + dm
+            + dn
+            - 0.5 * nu * rho * rsq
+            + prev_coeff * dprev
+            - next_coeff * dnext
+        )
+        c = _coupling_value(a, rho, nu, ell)
+        self.dm.append(dm)
+        self.dn.append(dn)
+        self.h.append(nsq(x - pa) - a * nsq(x_prev - pa) + next_coeff * dprev)
+        self.delta.append(0.5 * nu * rho * rsq - c * dprev)
+        self.fr_slack.append(rhs - lhs)
+        self.yzg_slack.append((nsq_inv(u) - 0.5 * rsq) + nsq(z - y))
+        self.coupling.append(c)
+        self.multiplier_floor.append(float(y[self._lam :].min()))
 
 
 class _RunRecorder:
     """Creates the trace of a run and is its only writer, for both executors.
 
-    Recording, stopping tests, trajectory hashing, the diagnostics
-    payload and finalization live here, so the single-process runner
-    and the networked runner cannot drift apart in how they produce
-    traces. A step only computes iterates; post_step records the
-    diagnostics payload from the mid-iteration points the step returns.
+    Recording, stopping tests, trajectory hashing, the recursion rows
+    and finalization live here, so the single-process runner and the
+    networked runner cannot drift apart in how they produce traces. A
+    step only computes iterates; post_step evaluates the recursion rows
+    of a diagnostics run from the mid-iteration points the step returns.
     A recorder made with r_psi_only computes r_psi alone and records
     NaN for res and both gaps, for a caller that stops on r_psi and
     reads nothing else.
@@ -387,6 +448,7 @@ class _RunRecorder:
         ell_v_psi: float,
         x0: np.ndarray,
         r_psi_only: bool = False,
+        reference: PrimalDualState | None = None,
     ):
         self.problem = op.problem
         self.op = op
@@ -395,8 +457,7 @@ class _RunRecorder:
         self.trace = SolverTrace(self.problem.partition)
         self.trace._hash_state(x0)
         if params.diagnostics:
-            self.trace.diag = _DiagnosticsData(psi, params.nu, ell_v_psi)
-            self.trace.diag.states.append(x0.copy())
+            self.trace.recursion = _RecursionRows(psi, params.nu, ell_v_psi, reference)
         self._record = False
         self._row = None
         self._r_psi_only = r_psi_only
@@ -437,8 +498,21 @@ class _RunRecorder:
         t.step_norm.append(float(np.sqrt(np.dot(self.psi.weights * dx, dx))))
         return False
 
-    def post_step(self, k: int, x_next: np.ndarray, mid: tuple | None, alpha: float, rho: float, size: int):
-        """Check and hash X_{k+1}; mid is the step's (Z, Y, V_hat(Z), V_hat(Y)) or None."""
+    def post_step(
+        self,
+        k: int,
+        x: np.ndarray,
+        x_prev: np.ndarray,
+        x_next: np.ndarray,
+        mid: tuple | None,
+        alpha: float,
+        rho: float,
+        size: int,
+    ):
+        """Check and hash X_{k+1} = x_next of the step from X_k = x and X_{k-1} = x_prev.
+
+        mid is the step's (Z, Y, V_hat(Z), V_hat(Y)) or None.
+        """
         # a non-finite entry propagates through the sum
         if not math.isfinite(float(x_next.sum())):
             raise NumericError(f"iterate became non-finite at iteration {k}")
@@ -448,20 +522,8 @@ class _RunRecorder:
             t.rhos.append(rho)
             t.batches.append(size)
         t._hash_state(x_next)
-        diag = t.diag
-        if diag is not None:
-            z, y, a, b = mid
-            op = self.op
-            vz = op.v_flat(z)
-            jz = op.resolvent_flat(z - self.psi.inv_weights * vz)
-            diag.Z.append(z)
-            diag.Y.append(y)
-            diag.U.append(a - vz)
-            diag.W.append(b - op.v_flat(y))
-            diag.r_psi_z.append(float(np.linalg.norm(z - jz)))
-            diag.alphas.append(alpha)
-            diag.rhos.append(rho)
-            diag.states.append(x_next.copy())
+        if t.recursion is not None:
+            t.recursion.append(self.op, x_prev, x, x_next, mid, alpha, rho)
         t.iterations = k + 1
 
     def abort(self, err: GnesError, x: np.ndarray, k: int):
@@ -532,6 +594,7 @@ def _drive(
     oracle: SamplingOracle,
     make_step,
     r_psi_only: bool = False,
+    reference: PrimalDualState | None = None,
 ) -> tuple[PrimalDualState, SolverTrace]:
     """The iteration loop of both executors.
 
@@ -539,7 +602,8 @@ def _drive(
     which gives X_{k+1} and its mid-iteration points (or None), drawing
     from oracle; the loop owns everything around it: step sizes and
     their checks, the initial state, the oracle's partition, the
-    schedules and the recorder. r_psi_only is passed to the recorder.
+    schedules and the recorder. r_psi_only and reference (the point
+    of a diagnostics run's recursion checks) are passed to the recorder.
     """
     part = problem.partition
     op = ExtendedOperator(problem, graph)
@@ -553,9 +617,14 @@ def _drive(
         raise ConfigurationError("initial multiplier copies must be nonnegative", field="x0")
     if getattr(oracle, "partition", None) != part:
         raise DimensionMismatchError("oracle partition differs from the problem's", block="oracle")
+    if params.diagnostics and getattr(reference, "partition", None) != part:
+        raise ConfigurationError(
+            "recursion diagnostics need a reference state on the problem's partition",
+            field="reference",
+        )
     ell = op.lipschitz_ell_V * psi.max_step
     x_prev = x = x0.data.copy()  # X_{-1} = X_0; no step writes into its inputs
-    rec = _RunRecorder(op, psi, params, ell, x, r_psi_only)
+    rec = _RunRecorder(op, psi, params, ell, x, r_psi_only, reference)
     step = make_step(op, psi, x0.data)
     relaxed = params.variant != "sfb"
     stopped = False
@@ -569,7 +638,7 @@ def _drive(
             alpha = alpha_schedule(params, k)
             rho = rho_schedule(params, alpha, ell) if relaxed else 1.0
             x_next, mid = step(k, x, x_prev, alpha, rho, size)
-            rec.post_step(k, x_next, mid, alpha, rho, size)
+            rec.post_step(k, x, x_prev, x_next, mid, alpha, rho, size)
             x_prev = x
             x = x_next
     except GnesError as err:
@@ -586,6 +655,7 @@ def run(
     params: SolverParams,
     x0: PrimalDualState | None = None,
     seed: int = 0,
+    reference: PrimalDualState | None = None,
 ) -> tuple[PrimalDualState, SolverTrace]:
     """Iterate the selected variant until the residual target or the budget.
 
@@ -594,8 +664,15 @@ def run(
     iterations, i.e. every trace_every-th step. The returned trace has
     one row per executed iteration at that decimation, and the final
     iterate's metrics are stored on the trace separately.
+
+    reference is the point p, a zero of the extended inclusion, at
+    which a run with params.diagnostics evaluates the recursion
+    inequalities as it goes (see diagnostics_check); such a run needs
+    it, and other runs ignore it.
     """
-    return _drive(problem, graph, params, x0, oracle, _sampled_steps(oracle, params, seed))
+    return _drive(
+        problem, graph, params, x0, oracle, _sampled_steps(oracle, params, seed), reference=reference
+    )
 
 
 def _sampled_steps(oracle: SamplingOracle, params: SolverParams, seed: int):
@@ -695,72 +772,21 @@ class DiagnosticsReport:
 
 
 def diagnostics_check(trace: SolverTrace, p: PrimalDualState, tol: float = 1e-9) -> DiagnosticsReport:
-    """Evaluate the per-iteration recursion inequalities along a recorded run.
+    """The per-iteration recursion inequalities along a run, with violations at tol.
 
     p should be a zero of the extended inclusion (obtained from a
     high-accuracy reference solve). The run must have been executed
-    with diagnostics enabled so the mid-iteration quantities are
-    available.
+    with diagnostics enabled and p as its reference, which it
+    evaluated the recursion at as it ran; the trace of a run that
+    ended in an error carries the rows of the iterations it completed.
     """
-    diag = trace.diag
-    if diag is None:
+    rows = trace.recursion
+    if rows is None:
         raise ConfigurationError("run was executed without diagnostics", field="diagnostics")
-    pw = diag.weights
-    iw = diag.inv_weights
-    nu = diag.nu
-    ell = diag.ell_v_psi
-    pa = p.data
-    kk = len(diag.Z)
-    dm = np.empty(kk)
-    dn = np.empty(kk)
-    h = np.empty(kk)
-    delta = np.empty(kk)
-    fr_slack = np.empty(kk)
-    yzg_slack = np.empty(kk)
-    coupling = np.empty(kk)
-
-    def nsq(v: np.ndarray) -> float:
-        return float(np.dot(pw * v, v))
-
-    def nsq_inv(v: np.ndarray) -> float:
-        return float(np.dot(iw * v, v))
-
-    for k in range(kk):
-        a = diag.alphas[k]
-        rho = diag.rhos[k]
-        xk = diag.states[k]
-        xk1 = diag.states[k + 1]
-        xkm1 = diag.states[k - 1] if k > 0 else diag.states[0]
-        z = diag.Z[k]
-        y = diag.Y[k]
-        u = diag.U[k]
-        w = diag.W[k]
-        e = w - u
-        rsq = diag.r_psi_z[k] ** 2
-        gain = (3.0 - nu) / (2.0 * rho * (1.0 + ell))
-        dm[k] = (3.0 - nu) * rho / (1.0 + ell) * nsq_inv(e) + nu * rho * nsq_inv(u)
-        dn[k] = 2.0 * rho * float(np.dot(w, pa - y))
-        prev_coeff = a * (2.0 * a + gain * (1.0 - a))
-        next_coeff = (1.0 - a) * (gain - 1.0)
-        dprev = nsq(xk - xkm1)
-        dnext = nsq(xk1 - xk)
-        lhs = nsq(xk1 - pa)
-        rhs = (
-            (1.0 + a) * nsq(xk - pa)
-            - a * nsq(xkm1 - pa)
-            + dm[k]
-            + dn[k]
-            - 0.5 * nu * rho * rsq
-            + prev_coeff * dprev
-            - next_coeff * dnext
+    if not np.array_equal(p.data, rows.reference):
+        raise ConfigurationError(
+            "p differs from the reference the run was checked against", field="reference"
         )
-        fr_slack[k] = rhs - lhs
-        yzg_slack[k] = (nsq_inv(u) - 0.5 * rsq) + nsq(z - y)
-        h[k] = nsq(xk - pa) - a * nsq(xkm1 - pa) + next_coeff * dprev
-        c = _coupling_value(a, rho, nu, ell)
-        coupling[k] = c
-        delta[k] = 0.5 * nu * rho * rsq - c * dprev
     return DiagnosticsReport(
-        dm=dm, dn=dn, h=h, delta=delta,
-        fr_slack=fr_slack, yzg_slack=yzg_slack, coupling=coupling, tol=tol,
+        **{name: np.array(getattr(rows, name), dtype=np.float64) for name in _REPORT_ARRAYS}, tol=tol
     )

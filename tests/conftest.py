@@ -196,3 +196,18 @@ def estimate_noise_bound(oracle, problem, seed, points=10, draws=200):
             total += float(np.mean(np.sum((batch - g[None, :]) ** 2, axis=1)))
         worst = max(worst, total)
     return math.sqrt(worst)
+
+
+def estimate_lipschitz_unchunked(gradient_rows, lo, hi, seed, pairs=10_000, margin=1.1):
+    """cournot.estimate_lipschitz drawing and evaluating every pair at once, as a reference."""
+    rng = np.random.default_rng([seed, 1])
+    points = rng.uniform(lo, hi, size=(2 * pairs, lo.shape[0]))
+    u_pts = points[0::2]
+    v_pts = points[1::2]
+    gaps = np.linalg.norm(u_pts - v_pts, axis=1)
+    slopes = np.linalg.norm(gradient_rows(u_pts) - gradient_rows(v_pts), axis=1)
+    keep = gaps >= 1e-12
+    worst = float(np.max(slopes[keep] / gaps[keep])) if np.any(keep) else 0.0
+    if worst == 0.0:
+        raise ConfigurationError("gradient appears constant", field="lipschitz_pairs")
+    return margin * worst

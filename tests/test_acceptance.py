@@ -108,13 +108,13 @@ def test_c4_recursion_diagnostics(monotone_small):
         diagnostics=True, batch=BatchSchedule(1.0, 1.2),
     )
     for oracle in (ZeroNoiseOracle(problem), AdditiveGaussianOracle(problem, sd=0.05)):
-        _, trace = run(problem, graph, oracle, SolverParams(**base), seed=1)
+        _, trace = run(problem, graph, oracle, SolverParams(**base), seed=1, reference=reference)
         report = diagnostics_check(trace, reference, tol=1e-9)
         assert report.ok, type(oracle).__name__
         for family in ("fr_violations", "yzg_violations", "h_violations", "coupling_violations"):
             assert len(getattr(report, family)) == 0, (type(oracle).__name__, family)
     control = SolverParams(**{**base, "rho_scale": 2.0, "enforce_admissibility": False})
-    _, trace = run(problem, graph, ZeroNoiseOracle(problem), control, seed=1)
+    _, trace = run(problem, graph, ZeroNoiseOracle(problem), control, seed=1, reference=reference)
     report = diagnostics_check(trace, reference, tol=1e-9)
     assert not report.ok
     assert len(report.coupling_violations) > 0

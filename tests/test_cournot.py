@@ -14,7 +14,7 @@ from gnes.errors import ConfigurationError
 from gnes.instances import load_document
 from gnes.stochastic import PHASE_ETA, AgentStreams
 
-from conftest import monotonicity_probe
+from conftest import estimate_lipschitz_unchunked, monotonicity_probe
 
 
 def two_firm_config(**overrides):
@@ -244,6 +244,14 @@ def test_lipschitz_probe_row_path_matches_loop():
 
     slow = estimate_lipschitz(looped, problem.lo_stack, problem.hi_stack, seed=0, pairs=64)
     assert problem.lipschitz_ell == slow
+
+
+@pytest.mark.parametrize("pairs", [1, 511, 512, 513, 1025])
+def test_lipschitz_blocks_match_one_draw_of_all_pairs(pairs):
+    problem, oracle, _ = generate(CournotConfig(seed=0, lipschitz_pairs=1))
+    for seed in range(5):
+        args = (oracle.mean_gradient, problem.lo_stack, problem.hi_stack, seed, pairs)
+        assert estimate_lipschitz(*args) == estimate_lipschitz_unchunked(*args)
 
 
 def test_lipschitz_probe_rejects_constant_gradient():

@@ -11,12 +11,11 @@ order; MARKET has not moved.
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from gnes.agentnet import run_distributed
 from gnes.instances import load_document
-from gnes.solver import SolverParams, run
+from gnes.solver import SolverParams, diagnostics_check, run, solve_ground_truth
 from gnes.stochastic import AdditiveGaussianOracle, BatchSchedule
 
 from conftest import load_builtin
@@ -32,9 +31,12 @@ MARKET = {
 }
 DIAGNOSTICS = (
     "77c8707b32d3b18aefceb0af716fab2eb34102190a9034ee44bddfa219ea81e2",
-    # sha256 over the bytes of every Z, then every Y, U and W
-    "4bf54d41b8801b98aabab46214286173a3ee2594c7a4d6253eec8529015c56fc",
+    # sha256 over the bytes of the report's dm, dn, h, delta, fr_slack,
+    # yzg_slack and coupling arrays, in that order, at the reference solve;
+    # printed when diagnostics_check still replayed stored iterates
+    "e42a51a8531d626c457b3f73f7c49a2cc4927d828ba00f07f5518797ee05bb78",
 )
+REPORT_ARRAYS = ("dm", "dn", "h", "delta", "fr_slack", "yzg_slack", "coupling")
 
 
 @pytest.mark.parametrize("variant", sorted(AFFINE))
@@ -64,12 +66,13 @@ def test_market_hashes(variant):
 def test_diagnostics_run_hashes():
     problem, graph = load_builtin("affine-monotone-small")
     oracle = AdditiveGaussianOracle(problem, sd=0.1)
+    reference, _ = solve_ground_truth(problem, graph)
     params = SolverParams(variant="risfbf", max_iters=200, tol=0.0, diagnostics=True)
-    _, trace = run(problem, graph, oracle, params, seed=4)
-    diag = trace.diag
+    _, trace = run(problem, graph, oracle, params, seed=4, reference=reference)
+    report = diagnostics_check(trace, reference)
     payload = hashlib.sha256()
-    for arr in diag.Z + diag.Y + diag.U + diag.W:
-        payload.update(np.ascontiguousarray(arr).tobytes())
+    for name in REPORT_ARRAYS:
+        arr = getattr(report, name)
+        assert arr.shape == (200,)
+        payload.update(arr.tobytes())
     assert (trace.state_hash, payload.hexdigest()) == DIAGNOSTICS
-    assert len(diag.Z) == len(diag.r_psi_z) == len(diag.alphas) == 200
-    assert len(diag.states) == 201

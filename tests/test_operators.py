@@ -248,14 +248,19 @@ def test_projection_matches_dykstra_on_solver_states(monotone_small):
     from gnes.solver import SolverParams, run
     from gnes.stochastic import AdditiveGaussianOracle, BatchSchedule
 
+    def states(problem, graph, oracle, seed, ks, **settings):
+        """X_k of one run for each k: a run of k iterations is a prefix of a longer one."""
+        yield np.zeros(problem.partition.state_dim)
+        for k in ks:
+            params = SolverParams(max_iters=k, trace_every=k, **settings)
+            yield run(problem, graph, oracle, params, seed=seed)[0].data
+
     problem, graph = monotone_small
     part = problem.partition
-    params = SolverParams(
-        variant="risfbf", max_iters=80, tol=0.0, diagnostics=True,
-        batch=BatchSchedule(1.0, 1.2),
-    )
-    _, trace = run(problem, graph, AdditiveGaussianOracle(problem, sd=0.1), params, seed=4)
-    for x in trace.diag.states[::4]:
+    for x in states(
+        problem, graph, AdditiveGaussianOracle(problem, sd=0.1), 4, range(4, 81, 4),
+        variant="risfbf", tol=0.0, batch=BatchSchedule(1.0, 1.2),
+    ):
         u = x[: part.total_dim]
         v = u - np.concatenate([problem.gradient(i, u) for i in range(part.num_agents)])
         out = proj_shared_set(problem, v)
@@ -265,12 +270,10 @@ def test_projection_matches_dykstra_on_solver_states(monotone_small):
     # single sweep of exact row solves already carries the certificate
     market, demand, market_graph = generate(CournotConfig(seed=0))
     d = market.partition.total_dim
-    params = SolverParams(
-        variant="risfbf", max_iters=200, tol=0.0, diagnostics=True,
-        batch=BatchSchedule(0.0005, 1.2),
-    )
-    _, trace = run(market, market_graph, demand, params, seed=1)
-    for x in trace.diag.states[::25]:
+    for x in states(
+        market, market_graph, demand, 1, range(25, 201, 25),
+        variant="risfbf", tol=0.0, batch=BatchSchedule(0.0005, 1.2),
+    ):
         u = x[:d]
         v = u - np.concatenate([market.gradient(i, u) for i in range(market.num_agents)])
         out = proj_shared_set(market, v, max_sweeps=1)

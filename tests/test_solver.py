@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from gnes.blockvec import AgentPartition, PrimalDualState
 from gnes import solver
 from gnes.agentnet import run_distributed
+from gnes.cournot import CournotConfig, generate
 from gnes.errors import ConfigurationError, DimensionMismatchError, NumericError, ToleranceError
 from gnes.operators import ExtendedOperator, residual_res
 from gnes.solver import (
@@ -508,7 +510,7 @@ def test_diagnostics_pass_without_and_with_noise(monotone_small):
         diagnostics=True, batch=BatchSchedule(1.0, 1.2),
     )
     for oracle in (ZeroNoiseOracle(problem), AdditiveGaussianOracle(problem, sd=0.05)):
-        _, trace = run(problem, graph, oracle, SolverParams(**base), seed=3)
+        _, trace = run(problem, graph, oracle, SolverParams(**base), seed=3, reference=reference)
         report = diagnostics_check(trace, reference)
         assert report.ok
         assert len(report.fr_violations) == 0
@@ -516,7 +518,7 @@ def test_diagnostics_pass_without_and_with_noise(monotone_small):
         assert len(report.h_violations) == 0
         assert len(report.coupling_violations) == 0
     # the zero noise run reduces both correction terms to zero
-    _, trace = run(problem, graph, ZeroNoiseOracle(problem), SolverParams(**base), seed=3)
+    _, trace = run(problem, graph, ZeroNoiseOracle(problem), SolverParams(**base), seed=3, reference=reference)
     report = diagnostics_check(trace, reference)
     assert np.allclose(report.dm, 0.0, atol=1e-18)
     assert np.allclose(report.dn, 0.0, atol=1e-18)
@@ -530,10 +532,82 @@ def test_diagnostics_flag_doubled_relaxation(monotone_small):
         diagnostics=True, rho_scale=2.0, enforce_admissibility=False,
         batch=BatchSchedule(1.0, 1.2),
     )
-    _, trace = run(problem, graph, ZeroNoiseOracle(problem), params, seed=3)
+    _, trace = run(problem, graph, ZeroNoiseOracle(problem), params, seed=3, reference=reference)
     report = diagnostics_check(trace, reference)
     assert not report.ok
     assert len(report.coupling_violations) > 0
+
+
+def test_diagnostics_need_the_reference_they_were_run_with(monotone_small):
+    problem, graph = monotone_small
+    reference, _ = solve_ground_truth(problem, graph)
+    oracle = ZeroNoiseOracle(problem)
+    params = SolverParams(max_iters=5, tol=0.0, diagnostics=True)
+    for missing in (None, PrimalDualState.zeros(AgentPartition((1,), 1))):
+        with pytest.raises(ConfigurationError) as info:
+            run(problem, graph, oracle, params, reference=missing)
+        assert info.value.field == "reference"
+    _, trace = run(problem, graph, oracle, params, reference=reference)
+    assert trace.diag is None
+    shifted = PrimalDualState(problem.partition, reference.data + 1.0)
+    with pytest.raises(ConfigurationError) as info:
+        diagnostics_check(trace, shifted)
+    assert info.value.field == "reference"
+    _, plain = run(problem, graph, oracle, dataclasses.replace(params, diagnostics=False))
+    with pytest.raises(ConfigurationError) as info:
+        diagnostics_check(plain, reference)
+    assert info.value.field == "diagnostics"
+
+
+def test_diagnostics_rows_survive_an_abort(monotone_small):
+    problem, graph = monotone_small
+    reference, _ = solve_ground_truth(problem, graph)
+    failing_at = 7
+
+    class FailingOracle(ZeroNoiseOracle):
+        """Exact until the first estimate of iteration failing_at, which is inf."""
+
+        calls = 0
+
+        def sample_mean_stack(self, u, size, agents, generators, out):
+            super().sample_mean_stack(u, size, agents, generators, out)
+            if self.calls == 2 * failing_at:
+                out[...] = np.inf
+            self.calls += 1
+
+    params = SolverParams(max_iters=20, tol=0.0, diagnostics=True)
+    with pytest.raises(NumericError) as info:
+        run(problem, graph, FailingOracle(problem), params, seed=3, reference=reference)
+    trace = info.value.trace
+    assert trace.iterations == failing_at
+    report = diagnostics_check(trace, reference)
+    short = dataclasses.replace(params, max_iters=failing_at)
+    _, whole = run(problem, graph, ZeroNoiseOracle(problem), short, seed=3, reference=reference)
+    expected = diagnostics_check(whole, reference)
+    for name in ("dm", "dn", "h", "delta", "fr_slack", "yzg_slack", "coupling"):
+        assert getattr(report, name).shape == (failing_at,)
+        assert np.array_equal(getattr(report, name), getattr(expected, name)), name
+
+
+def test_diagnostics_memory_does_not_grow_with_the_run():
+    # on the market, with one trace row per run, so that what grows is what
+    # diagnostics add: eight floats per iteration, about 260 bytes, where
+    # keeping the iterates took about 7.4 KB
+    problem, oracle, graph = generate(CournotConfig(seed=0))
+    reference = PrimalDualState.zeros(problem.partition)  # any point serves to measure memory
+    peaks = {}
+    for iters in (500, 4000):
+        params = SolverParams(
+            max_iters=iters, tol=0.0, diagnostics=True, trace_every=iters,
+            batch=BatchSchedule(0.0005, 1.2),
+        )
+        tracemalloc.start()
+        try:
+            run(problem, graph, oracle, params, seed=1, reference=reference)
+            peaks[iters] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[4000] - peaks[500]) / 3500 < 1024
 
 
 def test_gap_helpers():

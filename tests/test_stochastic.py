@@ -69,13 +69,24 @@ def test_streams_rekey_does_not_leak_state():
 
 
 def test_streams_match_fresh_philox_generators():
-    # the cached generator path must equal constructing Philox per key
-    seed, agent, k, phase = 9, 5, 1234, PHASE_ETA
-    lo = (agent << 48) | (k << 16) | phase
-    key = np.array([seed, lo], dtype=np.uint64)
-    fresh = np.random.Generator(np.random.Philox(key=key)).normal(size=16)
-    cached = AgentStreams(seed).generator(agent, k, phase).normal(size=16)
-    assert np.array_equal(fresh, cached)
+    # the cached generator path must equal constructing Philox per key,
+    # on a slot's first use, on its reuse and at the ends of each key range
+    top = (1 << 64) - 1
+    cases = [
+        (9, 5, 1234, PHASE_ETA),
+        (9, 5, 1235, PHASE_ETA),  # the same slot, re-keyed
+        (9, 5, 1234, PHASE_ETA),  # and back to the first key
+        (top, (1 << 16) - 1, (1 << 32) - 1, PHASE_ETA),
+        (top, (1 << 16) - 1, 0, PHASE_XI),
+        (top, 0, (1 << 32) - 1, PHASE_XI),
+    ]
+    streams = {}
+    for seed, agent, k, phase in cases:
+        lo = (agent << 48) | (k << 16) | phase
+        key = np.array([seed, lo], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key)).normal(size=16)
+        cached = streams.setdefault(seed, AgentStreams(seed)).generator(agent, k, phase).normal(size=16)
+        assert np.array_equal(fresh, cached), (seed, agent, k, phase)
 
 
 def test_streams_key_range_checks():
