@@ -193,14 +193,6 @@ class _MarketLayout:
         self.market_gather = np.array([c for row in coords for c in row], dtype=np.int64)
         self.market_starts = np.cumsum([0] + [len(row) for row in coords[:-1]])
         self.market_of = np.array([j for row in participation for j in row], dtype=np.int64)
-        # the same segments for one firm's markets only, in the order of its coordinates
-        self.firm_gather = tuple(
-            np.array([c for j in markets for c in coords[j]], dtype=np.int64)
-            for markets in participation
-        )
-        self.firm_starts = tuple(
-            np.cumsum([0] + [len(coords[j]) for j in markets[:-1]]) for markets in participation
-        )
         self._coord_firm_start = np.repeat(self.offsets, self.widths)
         self._coord_width = np.repeat(self.widths, self.widths)
         self._coord_pos = np.concatenate([np.arange(w) for w in self.widths])
@@ -233,27 +225,12 @@ class _MarketLayout:
         np.maximum(totals, 0.0, out=totals)
         # take, not fancy indexing, keeps rows of points C-ordered, so row
         # norms of the result sum as they do over per-point evaluations
-        return _factor(totals.take(self.market_of, axis=-1), u, exponent)
-
-    def firm_slope_factor(self, firm: int, u: np.ndarray, exponent: float) -> np.ndarray:
-        """slope_factor(u, exponent) on the firm's own coordinates, reading only its markets.
-
-        Each market total is summed over the same segment in the same
-        order as in slope_factor, so the floats are the same.
-        """
-        totals = np.add.reduceat(u[self.firm_gather[firm]], self.firm_starts[firm])
-        np.maximum(totals, 0.0, out=totals)
-        start = self.offsets[firm]
-        return _factor(totals, u[start : start + self.widths[firm]], exponent)
-
-
-def _factor(totals: np.ndarray, u: np.ndarray, exponent: float) -> np.ndarray:
-    """S~^s + s u S~^(s-1) from each coordinate's clamped market total, written into totals."""
-    tmp = np.multiply(exponent, u)
-    tmp += totals
-    factor = np.power(totals, exponent - 1.0, out=totals)
-    factor *= tmp
-    return factor
+        totals = totals.take(self.market_of, axis=-1)
+        tmp = np.multiply(exponent, u)
+        tmp += totals
+        factor = np.power(totals, exponent - 1.0, out=totals)
+        factor *= tmp
+        return factor
 
 
 class CournotDemandOracle(SamplingOracle):
@@ -265,10 +242,10 @@ class CournotDemandOracle(SamplingOracle):
     mini-batch average equals one gradient evaluation at the averaged
     slope; sample_mean_stack exploits that instead of materializing
     per-draw gradients. A firm draws its (size, width) perturbations
-    row by row from its stream; _mean sums each coordinate's size draws
-    as one contiguous row, over every coordinate at once when all firms
-    are listed and over a firm's own rows, with the slope factor of its
-    own markets, otherwise, so both give the same floats.
+    row by row from its stream into its block of one buffer; _mean sums
+    each coordinate's size draws as one contiguous row, over every
+    coordinate at once when all firms are listed and over a firm's own
+    rows otherwise, so both give the same floats.
     """
 
     def __init__(self, layout: _MarketLayout, costs: tuple, config: CournotConfig):
@@ -310,24 +287,21 @@ class CournotDemandOracle(SamplingOracle):
         np.subtract(base, mean_slope, out=out)
 
     def sample_mean_stack(self, u, size, agents, generators, out):
+        # only the draws go firm by firm; all firms take one _mean over every coordinate
         layout = self._layout
         offsets, widths = layout.offsets, layout.widths
-        if len(agents) < len(offsets):
-            # a firm draws and reads only its own coordinates and markets
-            for i, rng in zip(agents, generators):
-                own = self.partition.primal_slices[i]
-                draws = rng.standard_normal((size, widths[i])).T.copy()
-                factor = layout.firm_slope_factor(i, u, self._exp)
-                factor *= self._sign
-                self._mean(draws, factor, self._base[own], out[own])
-            return
-        # only the draws go firm by firm; all firms take one _mean over every coordinate
         eps = np.empty(size * u.shape[0])
         for i, rng in zip(agents, generators):
             rng.standard_normal(out=eps[offsets[i] * size : (offsets[i] + widths[i]) * size])
         factor = layout.slope_factor(u, self._exp)
         factor *= self._sign
-        self._mean(eps[layout.draw_rows(size)], factor, self._base, out)
+        rows = layout.draw_rows(size)
+        if len(agents) == len(offsets):
+            self._mean(eps[rows], factor, self._base, out)
+            return
+        for i in agents:
+            own = self.partition.primal_slices[i]
+            self._mean(eps[rows[own]], factor[own], self._base[own], out[own])
 
 
 _LIPSCHITZ_BLOCK = 512

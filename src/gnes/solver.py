@@ -19,6 +19,7 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -338,11 +339,12 @@ class SolverTrace:
         self.final_consensus_gap = math.nan
         self.final_feas_gap = math.nan
         self.recursion: _RecursionRows | None = None
-        # always None: runs keep no per-iteration vectors any more, but
-        # perfbench/workloads.py::diag_payload_bytes still reads this
-        # attribute, so it stays until that function is retired
-        self.diag = None
         self._hasher = hashlib.sha256()
+
+    @property
+    def diag(self) -> _LastIteration | None:
+        """The vectors of the last iteration a diagnostics run checked, or None."""
+        return None if self.recursion is None else self.recursion.last
 
     def _hash_state(self, x: np.ndarray):
         # adding 0.0 maps -0.0 to +0.0 and leaves every other value bit-identical
@@ -355,14 +357,28 @@ class SolverTrace:
 _REPORT_ARRAYS = ("dm", "dn", "h", "delta", "fr_slack", "yzg_slack", "coupling")
 
 
+class _LastIteration(NamedTuple):
+    """The vectors of one checked iteration k, each field a tuple of arrays.
+
+    states holds X_{k-1}, X_k and X_{k+1}; Z, Y, U = V_hat(Z) - V(Z) and
+    W = V_hat(Y) - V(Y) hold the step's one vector each.
+    """
+
+    states: tuple
+    Z: tuple
+    Y: tuple
+    U: tuple
+    W: tuple
+
+
 class _RecursionRows:
     """The recursion quantities of a diagnostics run, evaluated as it runs.
 
     Each iteration appends one float to every list: the arrays of
     DiagnosticsReport, and the smallest multiplier entry of Y_k, which
-    passes through the resolvent. The vectors an iteration needs (X_{k-1},
-    X_k, X_{k+1} and the step's mid-iteration points) are dropped after
-    it, so memory does not grow with the run length beyond these floats.
+    passes through the resolvent. Only the vectors of the latest
+    iteration are kept (last), so memory does not grow with the run
+    length beyond these floats.
     """
 
     def __init__(self, psi: Preconditioner, nu: float, ell_v_psi: float, reference: PrimalDualState):
@@ -381,6 +397,7 @@ class _RecursionRows:
         self.yzg_slack: list[float] = []
         self.coupling: list[float] = []
         self.multiplier_floor: list[float] = []
+        self.last: _LastIteration | None = None
 
     def _nsq(self, v: np.ndarray) -> float:
         return float(np.dot(self._weights * v, v))
@@ -425,6 +442,7 @@ class _RecursionRows:
         self.yzg_slack.append((nsq_inv(u) - 0.5 * rsq) + nsq(z - y))
         self.coupling.append(c)
         self.multiplier_floor.append(float(y[self._lam :].min()))
+        self.last = _LastIteration((x_prev, x, x_next), (z,), (y,), (u,), (w,))
 
 
 class _RunRecorder:

@@ -547,13 +547,18 @@ def test_diagnostics_need_the_reference_they_were_run_with(monotone_small):
         with pytest.raises(ConfigurationError) as info:
             run(problem, graph, oracle, params, reference=missing)
         assert info.value.field == "reference"
-    _, trace = run(problem, graph, oracle, params, reference=reference)
-    assert trace.diag is None
+    final, trace = run(problem, graph, oracle, params, reference=reference)
+    # the trace keeps the vectors of the last checked iteration only
+    shorter, _ = run(problem, graph, oracle, dataclasses.replace(params, max_iters=4, diagnostics=False))
+    assert [len(rows) for rows in trace.diag] == [3, 1, 1, 1, 1]
+    assert np.array_equal(trace.diag.states[1], shorter.data)
+    assert np.array_equal(trace.diag.states[2], final.data)
     shifted = PrimalDualState(problem.partition, reference.data + 1.0)
     with pytest.raises(ConfigurationError) as info:
         diagnostics_check(trace, shifted)
     assert info.value.field == "reference"
     _, plain = run(problem, graph, oracle, dataclasses.replace(params, diagnostics=False))
+    assert plain.diag is None
     with pytest.raises(ConfigurationError) as info:
         diagnostics_check(plain, reference)
     assert info.value.field == "diagnostics"
