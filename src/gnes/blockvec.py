@@ -79,11 +79,6 @@ class AgentPartition:
         self._check_agent(i)
         return self.primal_slices[i]
 
-    def dual_slice(self, i: int) -> slice:
-        self._check_agent(i)
-        m = self.constraint_dim
-        return slice(i * m, (i + 1) * m)
-
     def _check_agent(self, i: int):
         if not 0 <= i < self.num_agents:
             raise DimensionMismatchError(
@@ -212,9 +207,6 @@ class PrimalDualState:
     @classmethod
     def zeros(cls, partition: AgentPartition) -> "PrimalDualState":
         return cls(partition, np.zeros(partition.state_dim))
-
-    def copy(self) -> "PrimalDualState":
-        return PrimalDualState(self.partition, self.data.copy())
 
 
 class Preconditioner:

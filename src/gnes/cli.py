@@ -574,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--variant", choices=VARIANTS, help="solver variant override")
     common.add_argument("--reps", type=int, metavar="R", help="replication count")
     common.add_argument("--diagnostics", action="store_true",
-                        help="record recursion payloads and emit their columns")
+                        help="check the recursion inequalities along the run "
+                             "and emit their columns")
     common.add_argument("--allow-nonmonotone", action="store_true",
                         help="permit generator settings that break monotonicity")
 

@@ -32,10 +32,7 @@ def largest_eigenvalue_psd(mat: np.ndarray, tol: float = 1e-10, max_iters: int =
     deterministic for a given matrix.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    n = mat.shape[0]
-    if n == 1:
-        return float(mat[0, 0])
-    v = np.random.default_rng(0x9E3779B9).standard_normal(n)
+    v = np.random.default_rng(0x9E3779B9).standard_normal(mat.shape[0])
     v /= np.linalg.norm(v)
     prev = np.inf
     for _ in range(max_iters):

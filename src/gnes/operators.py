@@ -311,67 +311,23 @@ def _disjoint_row_groups(D: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple
     return tuple(_RowGroup(rows, D, lo, hi) for rows, _ in groups)
 
 
-def _row_multiplier(base, a, lo, hi, c) -> float:
-    """Smallest t >= 0 with a . clip(base - t a, lo, hi) <= c.
-
-    g(t) = a . clip(base - t a, lo, hi) - c is nonincreasing and piecewise
-    linear: coordinate j adds slope -a_j^2 while it travels between its
-    bounds and is constant before and after. With the kinks tau_k sorted
-    and delta_k the slope change at each, g(t) = g(0) + s t
-    - sum_{tau_k < t} delta_k (tau_k - t) for the slope s at t = 0, so
-    running sums give g at every kink, and the root is solved on the
-    piece where g stops being positive. Only the row's own columns are
-    passed, so every a_j is nonzero. This is the solver of a one-row
-    group, where it is quicker than the segmented pass of
-    _group_multipliers.
-    """
-    g0 = float(a @ np.clip(base, lo, hi)) - c
-    if g0 <= 0.0:
-        return 0.0
-    t_lo = (base - lo) / a
-    t_hi = (base - hi) / a
-    enter = np.minimum(t_lo, t_hi)
-    leave = np.maximum(t_lo, t_hi)
-    sq = a * a
-    slope = -float(sq[(enter <= 0.0) & (leave > 0.0)].sum())
-    times = np.concatenate((enter, leave))
-    kinks = np.concatenate((-sq, sq))
-    ahead = np.flatnonzero((times > 0.0) & (times < np.inf))
-    order = ahead[np.argsort(times[ahead])]
-    times = times[order]
-    kinks = kinks[order]
-    slopes = slope + np.cumsum(kinks)
-    offsets = np.cumsum(kinks * times)
-    below = np.flatnonzero(g0 + slopes * times - offsets <= 0.0)
-    if below.size:
-        # the root lies on the piece that ends at kink i
-        i = int(below[0])
-        slope = float(slopes[i] - kinks[i])
-        offset = float(offsets[i] - kinks[i] * times[i])
-        end = float(times[i])
-    elif times.size:
-        slope = float(slopes[-1])
-        offset = float(offsets[-1])
-        end = float(times[-1])
-    else:
-        offset = end = 0.0
-    if slope >= 0.0:
-        # only rounding lands here (rows that cannot be met inside the
-        # box are rejected before the sweeps); g is lowest from `end` on
-        return end
-    return (g0 - offset) / -slope
-
-
 def _group_multipliers(grp: _RowGroup, base: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """_row_multiplier for every row of a group at once.
+    """Smallest t_r >= 0 with a_r . clip(base - t_r a_r, lo, hi) <= c_r, for every row r of grp.
 
-    The rows share no column, so each has its own g_r, and one pass
-    serves them all. The slope of g_r at t = 0 sums the slope changes
-    of the kinks at t <= 0; the kinks ahead are sorted by row and then
-    by time, the running sums restart at each row's first kink, and
-    each row stops at its first kink where g_r is nonpositive, or at
-    its last kink when g_r stays positive past every kink. The root is
-    then solved on the piece ending there, as in _row_multiplier.
+    g_r(t) = a_r . clip(base - t a_r, lo, hi) - c_r is nonincreasing and
+    piecewise linear: coordinate j adds slope -a_j^2 while it travels
+    between its bounds and is constant before and after. With the kinks
+    tau_k sorted and delta_k the slope change at each, g_r(t) = g_r(0)
+    + s t - sum_{tau_k < t} delta_k (tau_k - t) for the slope s at t = 0,
+    so running sums give g_r at every kink, and the root is solved on the
+    piece where g_r stops being positive. The rows share no column, so
+    one pass serves them all: the slope of g_r at t = 0 sums -a_j^2 over
+    the coordinates that have passed one of their kinks and not the
+    other; the kinks ahead are sorted by row and then by time, the
+    running sums restart at each row's first kink, and each row stops at
+    its first kink where g_r is nonpositive, or at its last kink when g_r
+    stays positive past every kink. Only a row's own columns are entries
+    of the group, so every a_j is nonzero.
     """
     k = c.size
     g0 = np.bincount(grp.seg, grp.a * np.minimum(np.maximum(base, grp.lo), grp.hi), k) - c
@@ -379,7 +335,12 @@ def _group_multipliers(grp: _RowGroup, base: np.ndarray, c: np.ndarray) -> np.nd
     if not active.any():
         return np.zeros(k)
     times = (np.concatenate((base, base)) - grp.bounds) / grp.a2
-    slope = np.bincount(grp.seg2, grp.kinks * (times <= 0.0), k)
+    # -a_j^2 of the moving coordinates, not the slope changes of every
+    # kink at t <= 0: those of a coordinate past both of its kinks cancel,
+    # and their rounding can outweigh a small a_j^2 that remains
+    passed = times <= 0.0
+    n = base.size
+    slope = -np.bincount(grp.seg, grp.a * grp.a * (passed[:n] != passed[n:]), k)
     ahead = ((times > 0.0) & (times < np.inf)).nonzero()[0]
     ahead = ahead[np.lexsort((times[ahead], grp.seg2[ahead]))]
     offset = np.zeros(k)
@@ -407,8 +368,12 @@ def _group_multipliers(grp: _RowGroup, base: np.ndarray, c: np.ndarray) -> np.nd
         slope[at] = slopes[stop] - back * kinks[stop]
         offset[at] = offsets[stop] - back * moments[stop]
         end[at] = times[stop]
-    # a nonnegative slope at the stop is only rounding; g_r is lowest from end on
-    t = np.divide(g0 - offset, -slope, out=end, where=slope < 0.0)
+    # On a piece where no coordinate moves, the slope changes cancel, but
+    # the running sums, shared by the whole group, leave a residue well
+    # under kinks.size * eps * |a|^2. Such a piece is flat (a row met
+    # only at its floor ends on one), and g_r is lowest from its end on.
+    flat = 4.0 * grp.kinks.size * np.finfo(np.float64).eps * (grp.a @ grp.a)
+    t = np.divide(g0 - offset, -slope, out=end, where=slope < -flat)
     t[~active] = 0.0
     return t
 
@@ -435,12 +400,12 @@ def proj_shared_set(
     multipliers of one group at a time: the rows of a group do not
     interact, so each is a continuous quadratic knapsack, and one
     vectorised breakpoint pass (_group_multipliers; K. C. Kiwiel,
-    Math. Program. 112, 2008) solves all of them; a one-row group is
-    solved by _row_multiplier. When every row lies in one group, one
-    sweep is exact. The result is returned on a KKT certificate at
-    eps = tol * max(1, max|b|): D u - b <= eps, and every row with a
-    positive multiplier is tight to within eps. u(lambda) is then the
-    exact projection onto C with each offset moved by at most eps.
+    Math. Program. 112, 2008) solves all of them. When every row lies
+    in one group, one sweep is exact. The result is returned on a KKT
+    certificate at eps = tol * max(1, max|b|): D u - b <= eps, and every
+    row with a positive multiplier is tight to within eps. u(lambda) is
+    then the exact projection onto C with each offset moved by at most
+    eps.
     Raises if max_sweeps sweeps end without the certificate.
     """
     v = np.asarray(v, dtype=np.float64).ravel()
@@ -471,11 +436,7 @@ def proj_shared_set(
         for grp in p.row_groups:
             cols, a = grp.cols, grp.a
             base = w[cols] + lam[grp.entry_rows] * a
-            if grp.rows.size == 1:
-                r = grp.rows[0]
-                lam[r] = _row_multiplier(base, a, grp.lo, grp.hi, rhs[r])
-            else:
-                lam[grp.rows] = _group_multipliers(grp, base, rhs[grp.rows])
+            lam[grp.rows] = _group_multipliers(grp, base, rhs[grp.rows])
             w[cols] = base - lam[grp.entry_rows] * a
         # recomputed, so the certificate holds for u(lam) itself and not
         # for the rounding drift of the row updates

@@ -296,8 +296,6 @@ def consensus_gap(partition: AgentPartition, lam: np.ndarray) -> float:
     O(N m) while small networks take one vectorised pass.
     """
     n = partition.num_agents
-    if n == 1:
-        return 0.0
     lammat = lam.reshape(n, partition.constraint_dim)
     worst = 0.0
     for start in range(0, n, _GAP_CHUNK):

@@ -28,8 +28,6 @@ def test_partition_slices():
     assert PART.primal_slice(0) == slice(0, 1)
     assert PART.primal_slice(1) == slice(1, 3)
     assert PART.primal_slice(2) == slice(3, 6)
-    assert PART.dual_slice(0) == slice(0, 2)
-    assert PART.dual_slice(2) == slice(4, 6)
 
 
 def test_partition_rejects_bad_shapes():
@@ -42,7 +40,7 @@ def test_partition_rejects_bad_shapes():
     with pytest.raises(DimensionMismatchError):
         PART.primal_slice(3)
     with pytest.raises(DimensionMismatchError):
-        PART.dual_slice(-1)
+        PART.primal_slice(-1)
 
 
 def test_state_validation():

@@ -6,11 +6,13 @@ executors. A change that is meant to move the floats (a new kernel, a
 different summation order) updates them on purpose and says so. The
 AFFINE and DIAGNOSTICS values were updated once that way, when the affine
 F(u) = M u + q became one OrderedRows of M, which sums each row in column
-order; MARKET has not moved.
+order; MARKET has not moved. RESIDUALS pins the natural residual recorded
+at every iteration, which goes through the projection onto the shared set.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from gnes.agentnet import run_distributed
@@ -37,6 +39,13 @@ DIAGNOSTICS = (
     "e42a51a8531d626c457b3f73f7c49a2cc4927d828ba00f07f5518797ee05bb78",
 )
 REPORT_ARRAYS = ("dm", "dn", "h", "delta", "fr_slack", "yzg_slack", "coupling")
+# sha256 over the bytes of trace.res, the natural residual recorded at every
+# iteration; printed when one-row constraint groups still had a solver of
+# their own in proj_shared_set
+RESIDUALS = {
+    "affine": "a2e0f8278a30c5b31c309a11f17270b1d74f4d3166451e1d7d6c67afaa41a916",
+    "market": "17871ca9a814a4359492337d4b43ad2892e0cfdb5aecfb22d5a3eb0990965bcd",
+}
 
 
 @pytest.mark.parametrize("variant", sorted(AFFINE))
@@ -61,6 +70,27 @@ def test_market_hashes(variant):
     _, net_trace, _ = run_distributed(problem, graph, oracle, params, seed=1)
     assert trace.state_hash == MARKET[variant]
     assert net_trace.state_hash == MARKET[variant]
+
+
+@pytest.mark.parametrize("instance", sorted(RESIDUALS))
+def test_residual_digests(instance):
+    if instance == "affine":
+        problem, graph = load_builtin("affine-monotone-small")
+        oracle = AdditiveGaussianOracle(problem, sd=0.1)
+        params = SolverParams(variant="risfbf", max_iters=300, tol=0.0, trace_every=1)
+        seed = 3
+    else:
+        problem, graph, oracle = load_document({"kind": "cournot", "config": {"seed": 0}})
+        params = SolverParams(
+            variant="risfbf", max_iters=200, tol=0.0, trace_every=1,
+            batch=BatchSchedule(0.0005, 1.2),
+        )
+        seed = 1
+    for executor in (run, run_distributed):
+        trace = executor(problem, graph, oracle, params, seed=seed)[1]
+        assert len(trace.res) == params.max_iters
+        digest = hashlib.sha256(np.asarray(trace.res, dtype=np.float64).tobytes()).hexdigest()
+        assert digest == RESIDUALS[instance], executor.__name__
 
 
 def test_diagnostics_run_hashes():

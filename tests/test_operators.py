@@ -369,6 +369,90 @@ def test_projection_matches_dykstra_on_grouped_rows():
     assert all(count > 0 for count in seen.values()), seen
 
 
+def test_one_row_groups_match_dykstra_in_one_sweep():
+    rng = np.random.default_rng(1)
+    seen = {"infinite bound": 0, "fixed": 0, "binding": 0, "repeated kinks": 0}
+    for trial in range(60):
+        problem = grouped_rows_game(rng, 1, overlap=False)
+        (group,) = problem.row_groups
+        assert group.rows.tolist() == [0]
+        lo, hi = problem.lo_stack, problem.hi_stack
+        cols = np.flatnonzero(problem.D_stack[0])
+        a = problem.D_stack[0, cols]
+        seen["infinite bound"] += int(not np.all(np.isfinite(lo[cols]) & np.isfinite(hi[cols])))
+        seen["fixed"] += int(np.any(lo[cols] == hi[cols]))
+        d = problem.partition.total_dim
+        for _ in range(6):
+            # half of the points on the grid, where kinks coincide
+            v = rng.integers(-8, 9, size=d) / 2.0 if rng.random() < 0.5 else rng.normal(size=d) * 3.0
+            u = proj_shared_set(problem, v, max_sweeps=1)
+            ref = dykstra_projection(problem, v)
+            assert np.max(np.abs(u - ref)) <= 1e-9, trial
+            _assert_feasible(problem, u)
+            seen["binding"] += int(abs(problem.D_stack[0] @ ref - problem.b_total[0]) <= 1e-9)
+            times = np.concatenate([(v[cols] - lo[cols]) / a, (v[cols] - hi[cols]) / a])
+            ahead = times[np.isfinite(times) & (times > 0.0)]
+            seen["repeated kinks"] += int(np.unique(ahead).size < ahead.size)
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_rows_met_only_at_their_floor_project_onto_that_face():
+    # b = row_floor: inside the box a row's columns can only sit at the
+    # bounds that minimise it, so the projection is known exactly. g_r then
+    # ends on a flat piece, where the slope is rounding; wide rows make that
+    # rounding nonzero on some of the draws.
+    rng = np.random.default_rng(4)
+    for trial in range(150):
+        m = int(rng.integers(1, 4))
+        width = rng.integers(1, 9, size=m)
+        d = int(width.sum()) + 1  # the last column is in no row
+        dense = np.zeros((m, d))
+        rows = np.repeat(np.arange(m), width)
+        cols = np.arange(d - 1)
+        dense[rows, cols] = rng.choice([-2.0, -1.0, 1.0, 2.0], size=d - 1) * (
+            rng.normal(size=d - 1) if trial % 2 else 1.0
+        )
+        lo = rng.integers(-4, 1, size=d) / 2.0
+        hi = lo + rng.integers(0, 4, size=d) / 2.0
+        # the bound a row's floor needs stays finite, the other may not
+        a = dense.sum(axis=0)
+        lo[(a < 0.0) & (rng.random(d) < 0.3)] = -np.inf
+        hi[(a > 0.0) & (rng.random(d) < 0.3)] = np.inf
+        part = AgentPartition((d,), m)
+
+        def game(rhs):
+            return GameProblem(
+                partition=part, pseudogradient=lambda u: u.copy(), D=(dense,), b=(rhs,),
+                box_lo=(lo,), box_hi=(hi,), lipschitz_ell=1.0,
+            )
+
+        problem = game(game(np.zeros(m)).row_floor)
+        face = np.where(a > 0.0, lo, hi)
+        for _ in range(3):
+            v = rng.integers(-8, 9, size=d) / 2.0 if rng.random() < 0.5 else rng.normal(size=d) * 3.0
+            u = proj_shared_set(problem, v, max_sweeps=1)
+            expected = np.where(a != 0.0, face, np.clip(v, lo, hi))
+            assert np.max(np.abs(u - expected)) <= 1e-9, trial
+
+
+def test_row_with_a_small_coefficient_on_an_unbounded_coordinate():
+    # the root lies far out (t ~ 1.4e7), where only the coordinate with the
+    # small coefficient still moves, so g's slope there is -a_1^2 ~ -2.5e-7;
+    # a slope summed from every passed kink carries rounding of order
+    # eps * a_0^2 ~ 6e-16 and misses the row by 3.6e-9 at that t
+    a = np.array([-1.6806867955598417, -4.9695227252307176e-04, 0.14945625523596615])
+    part = AgentPartition((3,), 1)
+    problem = GameProblem(
+        partition=part, pseudogradient=lambda u: u.copy(), D=(a[None, :],), b=(np.array([-2.0]),),
+        box_lo=(np.array([-np.inf, -2.0, -1.0]),), box_hi=(np.array([-1.0, np.inf, 0.5]),),
+        lipschitz_ell=1.0,
+    )
+    v = np.array([1.9063117371065301, 3.8066685185127582, -1.3091537379977831])
+    u = proj_shared_set(problem, v, max_sweeps=1)
+    assert abs(a @ u + 2.0) <= 1e-10
+    assert u[0] == -1.0 and u[2] == -1.0
+
+
 def test_projection_raises_when_sweeps_run_out():
     rng = np.random.default_rng(8)
     problem = tight_random_game(rng, (2, 2, 2), 4)
