@@ -1,30 +1,43 @@
 """Networked execution of the solver with explicit message passing.
 
-Every iteration is a fixed sequence of synchronous rounds. Agents hold
-only their own blocks of the state, their own cost sampler and
-constraint data, and their incident edges; anything else they use has
-to arrive as a message through the exchange. The operator value V is
-F plus one sparse affine map A x + c (operators.ExtendedOperator). An
-agent node evaluates its own rows of A on a local vector of its own
-blocks and the multiplier blocks its graph neighbours sent, with the
-columns kept in ascending global order; A is an OrderedRows, so those
-rows give the single-process runner's floats by construction. A node
-samples its rows of F-hat through the runner's own sampling call, with
-its index as the only agent and its own streams, so both executors run
-the same oracle code on the same draws. The rest of a node's arithmetic
-repeats the runner's elementwise expressions on the node's rows, so the
-two executors produce bit-identical trajectories and traces.
-Everything around the step (step sizes and their checks, the initial
-state, the schedules, the stopping tests and the whole trace) is the
+Every iteration is a fixed sequence of synchronous phases. An agent
+holds only its own blocks of the state, its own sampling streams and
+constraint data, and its incident edges; anything else it uses arrives
+as a message through the exchange. The operator value V is F plus one
+sparse affine map A x + c (operators.ExtendedOperator).
+
+All agents run a phase together, as one pass over stacked arrays, and
+every read stays local to its agent:
+
+- state: the agents' rows live in one array in global state order, and
+  each elementwise update of a row reads only that row;
+- exchange: the bus copies every declared link's payload, the sender's
+  blocks, into the link's slot of one inbox array, in one indexed copy
+  whose indices are fixed when the run starts;
+- locality: agent i's oracle profile (row i of an N x d array) and its
+  local vector are filled only from its own rows and from the inbox
+  slots of links into i; the nodes check their fill indices for that
+  when they are built;
+- kernel: agent i applies its rows of A to its local vector, whose
+  columns keep their ascending global order. The node kernels form one
+  block-diagonal OrderedRows, so every row gives the runner's floats.
+
+F-hat is sampled through the runner's own sampling call on the rows of
+profiles, each agent from its own stream, so both executors run the
+same oracle code on the same draws; the rest repeats the runner's
+elementwise expressions. The two executors therefore produce
+bit-identical trajectories and traces. Everything around the step (step
+sizes and their checks, the initial state, the schedules, the stopping
+tests, the recursion diagnostics and the whole trace) is the
 single-process runner's loop, solver._drive; this module supplies only
-the step, a round of messages per sample point.
+the step, one exchange per sample point.
 
 Messages come in two kinds. A "strategy" message carries one agent's
 decision block to the agents whose costs depend on it (the interaction
 edges). A "dual" message carries the sender's multiplier copy together
 with its auxiliary variable to the communication graph neighbors. An
-inertial iteration performs two broadcast rounds (one per sample
-point), a plain forward-backward iteration performs one.
+inertial iteration performs two exchanges (one per sample point), a
+plain forward-backward iteration performs one.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockvec import Preconditioner, PrimalDualState
+from .blockvec import AgentPartition, OrderedRows, Preconditioner, PrimalDualState
 from .errors import ConfigurationError
 from .graph import CommGraph
 from .operators import ExtendedOperator, GameProblem
@@ -61,19 +74,18 @@ class Exchange:
     Strategy messages travel only along interaction edges (agent j may
     receive agent i's block only when i appears in j's interaction
     list) and dual messages only along communication graph edges. The
-    links are fixed at construction: broadcast hands one payload to
-    every declared receiver of its sender, and post delivers a single
-    Message after checking its link, raising for any other delivery.
-    The bus counts traffic per kind; with audit=True it also keeps the
-    metadata of every delivery.
+    links are fixed at construction, sender by sender, strategy before
+    dual, and each owns one slot of the inbox array: the state rows of
+    its payload, the sender's u block or its lambda and mu blocks (rows
+    names the state row of every inbox entry, receiver its reader).
+    deliver copies every link's payload out of a state vector into its
+    slot in one indexed copy; post delivers a single Message after
+    checking its link, raising for any other delivery. The bus counts
+    one message per delivered link and kind; with audit=True it also
+    keeps the metadata of every delivery.
     """
 
-    def __init__(
-        self,
-        graph: CommGraph,
-        interaction: tuple,
-        audit: bool = False,
-    ):
+    def __init__(self, partition: AgentPartition, graph: CommGraph, interaction: tuple, audit: bool = False):
         n = graph.num_agents
         recv: list[list[int]] = [[] for _ in range(n)]
         for j in range(n):
@@ -87,167 +99,159 @@ class Exchange:
             "strategy": tuple(tuple(sorted(r)) for r in recv),
             "dual": tuple(tuple(int(j) for j in r) for r in graph.neighbors),
         }
-        self._links = {kind: tuple(map(frozenset, rs)) for kind, rs in self.receivers.items()}
-        self._inboxes: list[dict] = [{} for _ in range(n)]
+        d, nm, m = partition.total_dim, partition.dual_dim, partition.constraint_dim
+        carried = {
+            "strategy": lambda i: np.r_[partition.primal_slices[i]],
+            "dual": lambda i: np.r_[d + nm + i * m : d + nm + (i + 1) * m, d + i * m : d + (i + 1) * m],
+        }
+        links = [
+            (kind, i, j) for i in range(n) for kind in ("strategy", "dual") for j in self.receivers[kind][i]
+        ]
+        payloads = [carried[kind](i) for kind, i, _ in links]
+        sizes = [p.size for p in payloads]
+        starts = np.cumsum([0] + sizes)
+        self.slots = {link: slice(int(a), int(b)) for link, a, b in zip(links, starts, starts[1:])}
+        self.rows = np.concatenate(payloads) if links else np.zeros(0, dtype=np.int64)
+        self.receiver = np.repeat(np.array([j for _, _, j in links], dtype=np.int64), sizes)
+        self.inbox = np.empty(self.rows.size)
+        self._metadata = tuple((kind, i, j, size) for (kind, i, j), size in zip(links, sizes))
+        self._per_kind = tuple((kind, sum(len(r) for r in rs)) for kind, rs in self.receivers.items())
         self.sent = {"strategy": 0, "dual": 0}
         self.log: list[tuple] | None = [] if audit else None
 
     def post(self, msg: Message):
-        links = self._links.get(msg.kind)
-        if links is None or not 0 <= msg.sender < len(links) or msg.receiver not in links[msg.sender]:
+        link = (msg.kind, msg.sender, msg.receiver)
+        slot = self.slots.get(link)
+        if slot is None:
             raise ConfigurationError(
                 f"{msg.kind} message from agent {msg.sender} to agent {msg.receiver} "
                 "is outside the declared links",
                 field="exchange",
             )
-        self._deliver(msg.sender, (msg.receiver,), msg.kind, msg.iteration, msg.phase, msg.payload)
+        self.inbox[slot] = np.concatenate(msg.payload)
+        self._count(msg.iteration, msg.phase, ((*link, slot.stop - slot.start),), ((msg.kind, 1),))
 
-    def broadcast(self, sender: int, kind: str, k: int, phase: int, payload: tuple):
-        """Deliver one payload to every declared receiver of sender's kind of message."""
-        self._deliver(sender, self.receivers[kind][sender], kind, k, phase, payload)
+    def deliver(self, k: int, phase: int, point: np.ndarray):
+        """Every link's payload, the senders' rows of point, into its inbox slot."""
+        np.take(point, self.rows, out=self.inbox)
+        self._count(k, phase, self._metadata, self._per_kind)
 
-    def _deliver(self, sender: int, receivers: tuple, kind: str, k: int, phase: int, payload: tuple):
-        self.sent[kind] += len(receivers)
+    def _count(self, k: int, phase: int, deliveries: tuple, per_kind: tuple):
+        for kind, count in per_kind:
+            self.sent[kind] += count
         if self.log is not None:
-            size = int(sum(p.size for p in payload))
-            self.log.extend((k, phase, kind, sender, j, size) for j in receivers)
-        key = (kind, sender)
-        inboxes = self._inboxes
-        for j in receivers:
-            inboxes[j][key] = payload
-
-    def collect(self, receiver: int) -> dict:
-        box = self._inboxes[receiver]
-        self._inboxes[receiver] = {}
-        return box
+            self.log.extend((k, phase, kind, i, j, size) for kind, i, j, size in deliveries)
 
 
 class AgentNode:
-    """One participant of the networked run.
+    """All participants of the networked run, held as one stack.
 
-    Holds the agent's own state as one vector [u_i | mu_i | lambda_i]
-    (rows, its positions in the flat state), its rows of the operator's
-    affine part, which carry only D_i, b_i and its incident edge
-    weights, its rows of the state box K (T is K's normal cone, so the
-    resolvent is the projection onto K), its step sizes, and its own
-    sampling streams. Remote values enter exclusively through the inbox
-    argument of the round methods.
+    One instance holds the N agent nodes, and each phase method
+    (forward_backward, correct_and_relax, fb_update) runs that phase for
+    every node in one call. Node i's state is its rows
+    [u_i | mu_i | lambda_i] of the global-order arrays the phases take;
+    it also holds its rows of the operator's affine part, which carry
+    only D_i, b_i and its incident edge weights, its rows of the state
+    box K (T is K's normal cone, so the resolvent is the projection onto
+    K), its step sizes, and its own sampling streams. Remote values
+    enter only through the bus inbox: node i's profile and local vector
+    are filled from its own rows of the phase's point and from the
+    inbox slots of links into i, and construction checks the fill
+    indices for that.
     """
 
     def __init__(
-        self,
-        index: int,
-        op: ExtendedOperator,
-        oracle: SamplingOracle,
-        psi: Preconditioner,
-        seed: int,
+        self, op: ExtendedOperator, oracle: SamplingOracle, psi: Preconditioner, seed: int, audit: bool
     ):
         problem = op.problem
         part = problem.partition
-        i = index
-        m = part.constraint_dim
-        d = part.total_dim
-        nm = part.dual_dim
-        dim = part.dims[i]
-        own = part.primal_slices[i]
+        n, m, d, nm, sd = part.num_agents, part.constraint_dim, part.total_dim, part.dual_dim, part.state_dim
+        self.bus = bus = Exchange(part, op.graph, problem.interaction, audit=audit)
+        # the node of every state row
+        agents = np.arange(n)
+        owner = np.concatenate((np.repeat(agents, part.dims), np.repeat(agents, m), np.repeat(agents, m)))
         within = np.arange(m)
-        self.index = i
-        self.dim = dim
-        self.rows = np.concatenate(
-            (np.arange(own.start, own.stop), d + i * m + within, d + nm + i * m + within)
-        )
-        # local columns: own u, then mu and lambda of self and neighbours,
-        # all in ascending global order
-        peers = np.union1d(op.graph.neighbors[i], [i])
-        dual_at = (peers[:, None] * m + within).ravel()
-        cols = np.concatenate((np.arange(own.start, own.stop), d + dual_at, d + nm + dual_at))
-        self.kernel = op.affine.restrict(self.rows, cols)
-        self.offset = op.offset[self.rows]
-        self.steps = psi.inv_weights[self.rows]
-        self.lo = op.lo[self.rows]
-        self.hi = op.hi[self.rows]
-        # where the own and the received blocks go in the local vector
-        self._local = np.empty(cols.size)
-        k = peers.size
-        mu_at = [slice(dim + p * m, dim + (p + 1) * m) for p in range(k)]
-        lam_at = [slice(dim + (k + p) * m, dim + (k + p + 1) * m) for p in range(k)]
-        me = int(np.searchsorted(peers, i))
-        self._own_at = np.r_[0:dim, mu_at[me], lam_at[me]]
-        self._dual_slots = tuple(
-            (("dual", int(j)), lam_at[p], mu_at[p]) for p, j in enumerate(peers) if j != i
-        )
-        # the decision profile the oracle reads: own and partners' blocks,
-        # zeros elsewhere
-        self._profile = np.zeros(d)
-        self._fhat = np.empty(d)
-        self._own = own
-        self._strategy_slots = tuple(
-            (("strategy", int(j)), part.primal_slices[int(j)]) for j in problem.interaction[i]
-        )
-        self._lam = slice(dim + m, None)
+        # what each node reads: the blocks of its profile row (its own and
+        # its interaction partners'), then its local vector (own u, then mu
+        # and lambda of itself and its graph neighbours, ascending)
+        dst, reader, row, kernels, at = [], [], [], [], n * d
+        for i in range(n):
+            partners = np.union1d(problem.interaction[i], [i])
+            profile = np.concatenate([np.r_[part.primal_slices[j]] for j in partners])
+            peers = (np.union1d(op.graph.neighbors[i], [i])[:, None] * m + within).ravel()
+            cols = np.concatenate((np.r_[part.primal_slices[i]], d + peers, d + nm + peers))
+            mine = np.flatnonzero(owner == i)
+            kernels.append((mine, op.affine.restrict(mine, cols)))
+            dst += [i * d + profile, at + np.arange(cols.size)]
+            row += [profile, cols]
+            reader.append(np.full(profile.size + cols.size, i))
+            at += cols.size
+        dst, reader, row = np.concatenate(dst), np.concatenate(reader), np.concatenate(row)
+        # node i finds row r among its own rows of the point or in an inbox
+        # slot addressed to it, looked up by the key i * sd + r
+        keys = np.concatenate((owner * sd + np.arange(sd), bus.receiver * sd + bus.rows))
+        order = np.argsort(keys)
+        found = order[np.searchsorted(keys[order], reader * sd + row).clip(max=keys.size - 1)]
+        held = found < sd
+        self._own_dst, self._own_src = dst[held], found[held]
+        self._in_dst, self._in_src = dst[~held], found[~held] - sd
+        if not (
+            np.array_equal(keys[found], reader * sd + row)
+            and np.array_equal(owner[self._own_src], reader[held])
+            and np.array_equal(bus.receiver[self._in_src], reader[~held])
+        ):
+            raise AssertionError("an agent node reads a row it neither holds nor receives")
+        # profile rows stay zero where a node reads nothing
+        self._work = np.zeros(at)
+        self._profiles = self._work[: n * d].reshape(n, d)
+        self._local = self._work[n * d :]
+        self.kernel = OrderedRows.block_diagonal(sd, kernels)
+        self.offset = op.offset
+        self.steps = psi.inv_weights
+        self.lo = op.lo
+        self.hi = op.hi
         self.oracle = oracle
         self.streams = AgentStreams(seed)
-        self.x = self.xp = self.z = self.y = self.a = None
+        self._agents = range(n)
+        self._d = d
+        self._fhat = np.empty(d)
 
-    def load_state(self, x: np.ndarray):
-        """Start from this agent's rows of a flat state."""
-        self.x = self.xp = np.array(x, dtype=np.float64)
-
-    def blocks(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of the u, mu and lambda blocks of one of this agent's vectors."""
-        dim = self.dim
-        return v[:dim], v[dim : self._lam.start], v[self._lam]
-
-    # -- shared pieces -------------------------------------------------
-
-    def operator_value(self, point: np.ndarray, inbox: dict, k: int, phase: int, size: int) -> np.ndarray:
-        """This agent's rows of the sampled operator value at point and the received blocks."""
-        profile = self._profile
-        profile[self._own] = point[: self.dim]
-        for key, at in self._strategy_slots:
-            profile[at] = inbox[key][0]
-        fhat = _sample_means(self.oracle, profile, size, (self.index,), self.streams, k, phase, self._fhat)
-        local = self._local
-        local[self._own_at] = point
-        for key, lam_at, mu_at in self._dual_slots:
-            lam, mu = inbox[key]
-            local[lam_at] = lam
-            local[mu_at] = mu
-        v = self.kernel(local)
+    def operator_value(self, point: np.ndarray, k: int, phase: int, size: int) -> np.ndarray:
+        """Every node's rows of the sampled operator value at its rows of point, after one exchange."""
+        bus = self.bus
+        bus.deliver(k, phase, point)
+        work = self._work
+        work[self._own_dst] = point[self._own_src]
+        work[self._in_dst] = bus.inbox[self._in_src]
+        profiles = self._profiles
+        fhat = _sample_means(self.oracle, profiles, size, self._agents, self.streams, k, phase, self._fhat)
+        v = self.kernel(self._local)
         v += self.offset
-        v[: self.dim] += fhat[self._own]
+        v[: self._d] += fhat
         return v
 
     def _resolvent(self, v: np.ndarray) -> np.ndarray:
-        """Projection onto this agent's rows of the state box; in place."""
+        """Projection onto every node's rows of the state box; in place."""
         return np.clip(v, self.lo, self.hi, out=v)
 
-    def post(self, bus: Exchange, k: int, phase: int, u: np.ndarray, mu: np.ndarray, lam: np.ndarray):
-        """Send u to the interaction partners and (lambda, mu) to the graph neighbours."""
-        bus.broadcast(self.index, "strategy", k, phase, (u,))
-        bus.broadcast(self.index, "dual", k, phase, (lam, mu))
+    # -- inertial forward-backward-forward phases ----------------------
 
-    # -- inertial forward-backward-forward rounds ----------------------
+    def forward_backward(self, z: np.ndarray, k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """a = V_hat(z, xi) and y = J(z - steps a), for every node."""
+        a = self.operator_value(z, k, PHASE_XI, size)
+        return a, self._resolvent(z - self.steps * a)
 
-    def extrapolate(self, alpha: float):
-        self.z = self.x + alpha * (self.x - self.xp)
+    def correct_and_relax(self, z, y, a, k: int, size: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
+        """b = V_hat(y, eta) and the relaxed correction X_{k+1}, for every node."""
+        b = self.operator_value(y, k, PHASE_ETA, size)
+        r = y + self.steps * (a - b)
+        return b, (1.0 - rho) * z + rho * r
 
-    def forward_backward(self, inbox: dict, k: int, size: int):
-        self.a = self.operator_value(self.z, inbox, k, PHASE_XI, size)
-        self.y = self._resolvent(self.z - self.steps * self.a)
+    # -- plain forward-backward phase ----------------------------------
 
-    def correct_and_relax(self, inbox: dict, k: int, size: int, rho: float):
-        b = self.operator_value(self.y, inbox, k, PHASE_ETA, size)
-        r = self.y + self.steps * (self.a - b)
-        self.xp = self.x
-        self.x = (1.0 - rho) * self.z + rho * r
-
-    # -- plain forward-backward rounds ----------------------------------
-
-    def fb_update(self, inbox: dict, k: int, size: int):
-        a = self.operator_value(self.x, inbox, k, PHASE_XI, size)
-        self.xp = self.x
-        self.x = self._resolvent(self.x - self.steps * a)
+    def fb_update(self, x: np.ndarray, k: int, size: int) -> np.ndarray:
+        a = self.operator_value(x, k, PHASE_XI, size)
+        return self._resolvent(x - self.steps * a)
 
 
 @dataclass
@@ -273,63 +277,38 @@ def run_distributed(
     x0: PrimalDualState | None = None,
     seed: int = 0,
     audit: bool = False,
+    reference: PrimalDualState | None = None,
 ) -> tuple[PrimalDualState, SolverTrace, NetworkReport]:
     """Run the selected variant on the agent network.
 
     Produces the same iterates, trace, and trajectory hash as run()
-    with the same arguments: both go through the same loop, and only
-    the step differs. The returned report carries the message counters
-    (and the full metadata log when audit is set).
+    with the same arguments, recursion diagnostics at reference
+    included: both go through the same loop, and only the step differs.
+    The returned report carries the message counters (and the full
+    metadata log when audit is set).
     """
-    if params.diagnostics:
-        raise ConfigurationError(
-            "recursion diagnostics are produced by the single-process runner",
-            field="diagnostics",
-        )
-    part = problem.partition
-    n = part.num_agents
-    bus = Exchange(graph, problem.interaction, audit=audit)
-    per_iter = (1 if params.variant == "sfb" else 2) * sum(
-        len(r) for receivers in bus.receivers.values() for r in receivers
-    )
+    nodes = None
 
-    def make_step(op, psi, x0):
-        # the nodes take their rows of V's affine part from op
-        nodes = [AgentNode(i, op, oracle, psi, seed) for i in range(n)]
-        for node in nodes:
-            node.load_state(x0[node.rows])
-        rows = np.concatenate([node.rows for node in nodes])
-
-        def exchange(k: int, phase: int, points: list) -> list:
-            for node, point in zip(nodes, points):
-                node.post(bus, k, phase, *node.blocks(point))
-            return [bus.collect(i) for i in range(n)]
+    def make_step(op, psi):
+        nonlocal nodes
+        nodes = AgentNode(op, oracle, psi, seed, audit)
 
         def step(k, x, x_prev, alpha, rho, size):
             if params.variant == "sfb":
-                boxes = exchange(k, PHASE_XI, [node.x for node in nodes])
-                for node, box in zip(nodes, boxes):
-                    node.fb_update(box, k, size)
-            else:
-                for node in nodes:
-                    node.extrapolate(alpha)
-                boxes = exchange(k, PHASE_XI, [node.z for node in nodes])
-                for node, box in zip(nodes, boxes):
-                    node.forward_backward(box, k, size)
-                boxes = exchange(k, PHASE_ETA, [node.y for node in nodes])
-                for node, box in zip(nodes, boxes):
-                    node.correct_and_relax(box, k, size, rho)
-            x_next = np.empty(part.state_dim)
-            x_next[rows] = np.concatenate([node.x for node in nodes])
-            return x_next, None
+                return nodes.fb_update(x, k, size), None
+            z = x + alpha * (x - x_prev)
+            a, y = nodes.forward_backward(z, k, size)
+            b, x_next = nodes.correct_and_relax(z, y, a, k, size, rho)
+            return x_next, (z, y, a, b)
 
         return step
 
-    state, trace = _drive(problem, graph, params, x0, oracle, make_step)
+    state, trace = _drive(problem, graph, params, x0, oracle, make_step, reference=reference)
+    bus = nodes.bus
     report = NetworkReport(
         strategy_messages=bus.sent["strategy"],
         dual_messages=bus.sent["dual"],
-        messages_per_iteration=per_iter,
+        messages_per_iteration=(1 if params.variant == "sfb" else 2) * len(bus.slots),
         iterations=trace.iterations,
         log=bus.log,
     )

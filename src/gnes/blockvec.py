@@ -9,6 +9,7 @@ stacked dual copies are, so block views can be taken without copying.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,24 @@ class AgentPartition:
         self._check_agent(i)
         return self.primal_slices[i]
 
+    @cached_property
+    def _own_entries(self) -> np.ndarray:
+        # flat position of agent i's coordinates in row i of an (N, d) array
+        d = self.total_dim
+        return np.repeat(np.arange(self.num_agents) * d, self.dims) + np.arange(d)
+
+    def own_rows(self, values: np.ndarray) -> np.ndarray:
+        """Per-coordinate values of one point as they are; of one row per agent, agent i's block of row i."""
+        if values.ndim == 1:
+            return values
+        if values.shape != (self.num_agents, self.total_dim):
+            raise DimensionMismatchError(
+                f"rows have shape {values.shape}, expected one per agent, "
+                f"({self.num_agents}, {self.total_dim})",
+                block="rows",
+            )
+        return values.take(self._own_entries)
+
     def _check_agent(self, i: int):
         if not 0 <= i < self.num_agents:
             raise DimensionMismatchError(
@@ -144,6 +163,23 @@ class OrderedRows:
         a = np.asarray(a, dtype=np.float64)
         rows, cols = np.nonzero(a)
         return cls(a.shape, rows, cols, a[rows, cols])
+
+    @classmethod
+    def block_diagonal(cls, num_rows: int, blocks) -> "OrderedRows":
+        """Kernels side by side: blocks holds (at, kernel) pairs, and row r of a kernel becomes row at[r].
+
+        Each kernel's columns follow those of the kernel before it, in
+        the same order, so every row gives the floats of its kernel's
+        row on the matching entries of x.
+        """
+        rows, cols, vals, width = [], [], [], 0
+        for at, kernel in blocks:
+            r, c, v = kernel._entries
+            rows.append(np.asarray(at, dtype=np.int64)[r])
+            cols.append(c + width)
+            vals.append(v)
+            width += kernel.shape[1]
+        return cls((num_rows, width), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
     def restrict(self, rows, cols) -> "OrderedRows":
         """The given rows over the given columns, both renumbered from 0.

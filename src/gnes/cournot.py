@@ -242,10 +242,10 @@ class CournotDemandOracle(SamplingOracle):
     mini-batch average equals one gradient evaluation at the averaged
     slope; sample_mean_stack exploits that instead of materializing
     per-draw gradients. A firm draws its (size, width) perturbations
-    row by row from its stream into its block of one buffer; _mean sums
-    each coordinate's size draws as one contiguous row, over every
-    coordinate at once when all firms are listed and over a firm's own
-    rows otherwise, so both give the same floats.
+    row by row from its stream into its block of one buffer; one _mean
+    sums each coordinate's size draws as one contiguous row, over every
+    coordinate at once. On one profile per firm, firm i's coordinates
+    take the slope factor of row i.
     """
 
     def __init__(self, layout: _MarketLayout, costs: tuple, config: CournotConfig):
@@ -287,21 +287,16 @@ class CournotDemandOracle(SamplingOracle):
         np.subtract(base, mean_slope, out=out)
 
     def sample_mean_stack(self, u, size, agents, generators, out):
-        # only the draws go firm by firm; all firms take one _mean over every coordinate
+        # only the draws go firm by firm; one _mean covers every coordinate,
+        # so an unlisted firm's draws are zeros rather than stale memory
         layout = self._layout
         offsets, widths = layout.offsets, layout.widths
-        eps = np.empty(size * u.shape[0])
+        eps = np.zeros(size * out.shape[0])
         for i, rng in zip(agents, generators):
             rng.standard_normal(out=eps[offsets[i] * size : (offsets[i] + widths[i]) * size])
-        factor = layout.slope_factor(u, self._exp)
+        factor = self.partition.own_rows(layout.slope_factor(u, self._exp))
         factor *= self._sign
-        rows = layout.draw_rows(size)
-        if len(agents) == len(offsets):
-            self._mean(eps[rows], factor, self._base, out)
-            return
-        for i in agents:
-            own = self.partition.primal_slices[i]
-            self._mean(eps[rows[own]], factor[own], self._base[own], out[own])
+        self._mean(eps[layout.draw_rows(size)], factor, self._base, out)
 
 
 _LIPSCHITZ_BLOCK = 512

@@ -212,8 +212,9 @@ def _build_affine(doc: dict) -> tuple[GameProblem, CommGraph]:
 
     def pseudogradient(u: np.ndarray) -> np.ndarray:
         # each row summed in column order, so an agent's rows evaluated
-        # on its own profile are the floats of the same rows here
-        out = rows(u)
+        # on its own profile are the floats of the same rows here; rows
+        # of points go through the transpose, one column per point
+        out = rows(u.T).T
         out += q
         return out
 

@@ -53,10 +53,13 @@ class GameProblem:
         Block structure of the decision vector.
     pseudogradient : callable
         Maps the full decision vector u to F(u), shape (total_dim,),
-        with agent i's partial gradient in block i. Block i may only
-        read the blocks of agent i and of the agents listed in
-        interaction[i]; an agent evaluates F on a profile that holds
-        just those blocks and keeps its own rows.
+        with agent i's partial gradient in block i. It also maps rows
+        of points, shape (R, total_dim), to their values row by row,
+        each row the floats of the call on that point alone. Block i
+        may only read the blocks of agent i and of the agents listed in
+        interaction[i]: the networked executor evaluates F once on one
+        profile per agent, row i holding just those blocks, and agent i
+        keeps its own block of row i.
     D : sequence of arrays
         Agent slices of the constraint matrix, D[i] has shape (m, dims[i]).
     b : sequence of arrays
@@ -164,8 +167,11 @@ class GameProblem:
         return g
 
     def stacked_gradient(self, u: np.ndarray) -> np.ndarray:
-        """Pseudogradient F(u); a non-finite block raises NumericError naming its agent."""
-        out = self._evaluate(u, "pseudogradient")
+        """F(u); on one profile per agent (an (N, d) array), agent i's block of F at row i.
+
+        A non-finite block raises NumericError naming its agent.
+        """
+        out = self.partition.own_rows(self._evaluate(u, "pseudogradient"))
         # a bad entry propagates through the sum; its block is located
         # only on failure (an overflowing sum of finite entries passes)
         if not math.isfinite(float(out.sum())):
@@ -175,11 +181,12 @@ class GameProblem:
         return out
 
     def _evaluate(self, u: np.ndarray, block: str) -> np.ndarray:
+        """F at one point or at rows of points; a result of another shape is refused."""
         out = np.asarray(self.pseudogradient(u), dtype=np.float64)
-        d = self.partition.total_dim
-        if out.shape != (d,):
+        shape = u.shape[:-1] + (self.partition.total_dim,)
+        if out.shape != shape:
             raise DimensionMismatchError(
-                f"pseudogradient has shape {out.shape}, expected ({d},)", block=block
+                f"pseudogradient has shape {out.shape}, expected {shape}", block=block
             )
         return out
 

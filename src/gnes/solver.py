@@ -614,7 +614,7 @@ def _drive(
 ) -> tuple[PrimalDualState, SolverTrace]:
     """The iteration loop of both executors.
 
-    make_step(op, psi, x0) returns step(k, x, x_prev, alpha, rho, size),
+    make_step(op, psi) returns step(k, x, x_prev, alpha, rho, size),
     which gives X_{k+1} and its mid-iteration points (or None), drawing
     from oracle; the loop owns everything around it: step sizes and
     their checks, the initial state, the oracle's partition, the
@@ -641,7 +641,7 @@ def _drive(
     ell = op.lipschitz_ell_V * psi.max_step
     x_prev = x = x0.data.copy()  # X_{-1} = X_0; no step writes into its inputs
     rec = _RunRecorder(op, psi, params, ell, x, r_psi_only, reference)
-    step = make_step(op, psi, x0.data)
+    step = make_step(op, psi)
     relaxed = params.variant != "sfb"
     stopped = False
     k = 0
@@ -695,7 +695,7 @@ def _sampled_steps(oracle: SamplingOracle, params: SolverParams, seed: int):
     """make_step for _drive: steps of params.variant on draws from the streams of seed."""
     streams = AgentStreams(seed)
 
-    def make_step(op, psi, x0):
+    def make_step(op, psi):
         def step(k, x, x_prev, alpha, rho, size):
             if params.variant == "sfb":
                 return sfb_step(op, oracle, psi, x, size, streams, k), None

@@ -120,8 +120,11 @@ class SamplingOracle:
     override sample_mean_stack, which writes the mini-batch mean of each
     listed agent into that agent's rows of out, drawn from the generator
     paired with the agent; the default averages sample_gradient_batch.
-    Both executors and sample_mean sample through that one method. draws
-    is False for an oracle that ignores its generators: no stream is keyed.
+    u is one point every listed agent reads, or one profile per agent,
+    an (N, d) array of which agent i reads row i and keeps its own
+    coordinates (partition.own_rows). Both executors and sample_mean
+    sample through that one method. draws is False for an oracle that
+    ignores its generators: no stream is keyed.
     """
 
     draws = True
@@ -135,7 +138,8 @@ class SamplingOracle:
         """Write each listed agent's mini-batch mean at u into its rows of out."""
         slices = self.partition.primal_slices
         for i, rng in zip(agents, generators):
-            out[slices[i]] = self.sample_gradient_batch(i, u, size, rng).mean(axis=0)
+            point = u if u.ndim == 1 else u[i]
+            out[slices[i]] = self.sample_gradient_batch(i, point, size, rng).mean(axis=0)
 
     def sample_mean(
         self, agent: int, u: np.ndarray, size: int, rng: np.random.Generator
@@ -162,15 +166,10 @@ class AdditiveGaussianOracle(SamplingOracle):
         return g[None, :] + rng.normal(0.0, self.sd, size=(size, g.shape[0]))
 
     def sample_mean_stack(self, u, size, agents, generators, out):
-        # one F(u) for all agents; a subset takes each agent's own rows, so a
-        # non-finite gradient is reported for that agent only
-        slices = self.partition.primal_slices
-        if len(agents) == len(slices):
-            out[...] = self.problem.stacked_gradient(u)
-        else:
-            for i in agents:
-                out[slices[i]] = self.problem.gradient(i, u)
+        # one F call on the point or on every agent's profile
+        out[...] = self.problem.stacked_gradient(u)
         if self.draws:
+            slices = self.partition.primal_slices
             # the mean of size draws from N(g, sd^2 I) is N(g, sd^2 / size I),
             # so one draw per coordinate replaces size of them
             sd = self.sd / math.sqrt(size)
@@ -193,7 +192,7 @@ class ZeroNoiseOracle(AdditiveGaussianOracle):
 
 
 def _sample_means(oracle, u, size, agents, streams, iteration, phase, out):
-    """The listed agents' mini-batch means at u, in their rows of out.
+    """The listed agents' mini-batch means at u (a point or profiles), in their rows of out.
 
     Each agent draws from its stream keyed by (iteration, phase); an
     oracle that draws nothing keys none. A non-finite mean raises

@@ -81,14 +81,15 @@ def random_affine_game(rng, dims=(2, 1, 2), m=2):
     m_mat = a - a.T + np.eye(d) * (1.0 + rng.random())
     q = rng.normal(size=d)
     # summed row by row in column order, so an agent's rows are the same
-    # floats whether F is evaluated on the full point or on its profile
+    # floats whether F is evaluated on the full point or on its profile;
+    # rows of points go through the transpose, one column per point
     rows = OrderedRows.from_dense(m_mat)
 
     d_mats = tuple(rng.normal(size=(m, part.dims[i])) for i in range(n))
     b = tuple(np.abs(rng.normal(size=m)) + 0.5 for _ in range(n))
     problem = GameProblem(
         partition=part,
-        pseudogradient=lambda u: rows(u) + q,
+        pseudogradient=lambda u: rows(u.T).T + q,
         D=d_mats,
         b=b,
         box_lo=tuple(-np.ones(part.dims[i]) for i in range(n)),

@@ -1,18 +1,27 @@
 """Networked executor: parity with the monolithic runner, traffic accounting, locality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnes.agentnet import AgentNode, Exchange, Message, run_distributed
-from gnes.blockvec import Preconditioner
+from gnes.blockvec import AgentPartition, Preconditioner
 from gnes.cournot import CournotConfig, generate
 from gnes.errors import ConfigurationError
 from gnes.graph import CommGraph, generate_graph
 from gnes.operators import ExtendedOperator
-from gnes.solver import SolverParams, run
-from gnes.stochastic import PHASE_XI, AdditiveGaussianOracle, AgentStreams, BatchSchedule, ZeroNoiseOracle
+from gnes.solver import DiagnosticsReport, SolverParams, diagnostics_check, run, solve_ground_truth
+from gnes.stochastic import (
+    PHASE_ETA,
+    PHASE_XI,
+    AdditiveGaussianOracle,
+    AgentStreams,
+    BatchSchedule,
+    ZeroNoiseOracle,
+)
 
 from conftest import load_builtin, random_affine_game
 
@@ -98,36 +107,61 @@ def _weighted_graphs(rng, n):
         yield CommGraph(w + w.T)
 
 
-def _node_rows_and_stacked(problem, graph, rng, states=10):
-    """Each node's operator value from exchanged blocks, next to its rows of v_flat."""
-    op = ExtendedOperator(problem, graph)
-    psi = Preconditioner.uniform(problem.partition, 0.1)
-    oracle = ZeroNoiseOracle(problem)
-    nodes = [AgentNode(i, op, oracle, psi, 0) for i in range(problem.num_agents)]
-    for _ in range(states):
-        x = rng.normal(size=problem.partition.state_dim)
-        bus = Exchange(graph, problem.interaction)
-        for node in nodes:
-            node.post(bus, 0, PHASE_XI, *node.blocks(x[node.rows]))
-        stacked = op.v_flat(x)
-        for node in nodes:
-            local = node.operator_value(x[node.rows], bus.collect(node.index), 0, PHASE_XI, 1)
-            yield local, stacked[node.rows]
-
-
-def test_node_rows_match_v_flat_exactly():
-    # A's rows sum in ascending global column order on both sides, so a
-    # node's local kernel gives v_flat's floats, not just close ones
-    rng = np.random.default_rng(23)
-    market, _, _ = generate(CournotConfig(seed=0))
-    cases = [(market, g) for g in _weighted_graphs(rng, market.num_agents)]
+def _cases(rng):
+    """The market and small random affine games, each on weighted graphs of four shapes."""
+    market, demand, _ = generate(CournotConfig(seed=0))
+    cases = [(market, demand, g) for g in _weighted_graphs(rng, market.num_agents)]
     for _ in range(6):
         dims = tuple(int(v) for v in rng.integers(1, 4, size=int(rng.integers(3, 7))))
         problem, _ = random_affine_game(rng, dims=dims, m=int(rng.integers(1, 4)))
-        cases += [(problem, g) for g in _weighted_graphs(rng, len(dims))]
-    for problem, graph in cases:
-        for local, stacked in _node_rows_and_stacked(problem, graph, rng):
-            assert np.array_equal(local, stacked)
+        oracle = AdditiveGaussianOracle(problem, sd=0.1)
+        cases += [(problem, oracle, g) for g in _weighted_graphs(rng, len(dims))]
+    return cases
+
+
+def _nodes(problem, graph, oracle):
+    op = ExtendedOperator(problem, graph)
+    return op, AgentNode(op, oracle, Preconditioner.uniform(problem.partition, 0.1), 0, False)
+
+
+def _agent_rows(part, i):
+    d, nm, m = part.total_dim, part.dual_dim, part.constraint_dim
+    return np.r_[part.primal_slices[i], d + i * m : d + (i + 1) * m, d + nm + i * m : d + nm + (i + 1) * m]
+
+
+def test_node_rows_match_v_flat_exactly():
+    # A's rows sum in ascending global column order on both sides, so each
+    # node's rows, built from its own rows and the blocks it was sent,
+    # give v_flat's floats, not just close ones
+    rng = np.random.default_rng(23)
+    for problem, _, graph in _cases(rng):
+        op, nodes = _nodes(problem, graph, ZeroNoiseOracle(problem))
+        for _ in range(10):
+            x = rng.normal(size=problem.partition.state_dim)
+            value = nodes.operator_value(x, 0, PHASE_XI, 1)
+            stacked = op.v_flat(x)
+            for i in range(problem.num_agents):
+                rows = _agent_rows(problem.partition, i)
+                assert np.array_equal(value[rows], stacked[rows])
+
+
+def test_node_rows_ignore_every_block_outside_the_inbox():
+    # node i's rows of a phase value read only its own rows and what its
+    # links carry to it; noise included, since a phase keys the same draws
+    rng = np.random.default_rng(29)
+    for problem, oracle, graph in _cases(rng):
+        part = problem.partition
+        _, nodes = _nodes(problem, graph, oracle)
+        bus = nodes.bus
+        x = np.abs(rng.normal(size=part.state_dim))
+        for i in range(problem.num_agents):
+            rows = _agent_rows(part, i)
+            seen = np.union1d(rows, bus.rows[bus.receiver == i])
+            base = nodes.operator_value(x, 3, PHASE_ETA, 4)[rows]
+            outside = np.setdiff1d(np.arange(part.state_dim), seen)
+            moved = x.copy()
+            moved[outside] += np.abs(rng.normal(size=outside.size)) * 5.0
+            assert np.array_equal(nodes.operator_value(moved, 3, PHASE_ETA, 4)[rows], base)
 
 
 def test_noise_free_nodes_key_no_stream(monkeypatch):
@@ -193,9 +227,10 @@ def test_audit_log_records_every_message(monotone_small):
 def test_exchange_rejects_undeclared_links():
     graph = generate_graph("ring", 4)
     interaction = ((1,), (0,), (3,), (2,))
-    bus = Exchange(graph, interaction)
-    block = np.zeros(2)
+    bus = Exchange(AgentPartition((2, 2, 2, 2), 1), graph, interaction)
+    block = np.arange(2.0)
     bus.post(Message(0, 1, "strategy", 0, 0, (block,)))
+    assert np.array_equal(bus.inbox[bus.slots[("strategy", 0, 1)]], block)
     with pytest.raises(ConfigurationError) as info:
         bus.post(Message(0, 2, "strategy", 0, 0, (block,)))
     assert info.value.field == "exchange"
@@ -208,7 +243,7 @@ def test_exchange_rejects_undeclared_links():
     with pytest.raises(ConfigurationError):
         bus.post(Message(0, 1, "gossip", 0, 0, (block,)))
     with pytest.raises(ConfigurationError):
-        Exchange(graph, ((1,), (1,), (3,), (2,)))
+        Exchange(AgentPartition((2, 2, 2, 2), 1), graph, ((1,), (1,), (3,), (2,)))
     assert bus.sent == {"strategy": 1, "dual": 0}
 
 
@@ -224,8 +259,31 @@ def test_single_agent_runs_without_traffic(tiny):
 
 
 def test_network_refuses_diagnostics(monotone_small):
+    # a diagnostics run needs the point its recursion is checked at
     problem, graph = monotone_small
     params = SolverParams(variant="risfbf", alpha_bar=0.1, max_iters=5, diagnostics=True)
     with pytest.raises(ConfigurationError) as info:
         run_distributed(problem, graph, ZeroNoiseOracle(problem), params)
-    assert info.value.field == "diagnostics"
+    assert info.value.field == "reference"
+
+
+@pytest.mark.parametrize("instance", ["cournot-market", "affine-monotone-small"])
+def test_network_recursion_diagnostics_match_monolithic(instance):
+    if instance == "cournot-market":
+        problem, oracle, graph = generate(CournotConfig(seed=0))
+    else:
+        problem, graph = load_builtin(instance)
+        oracle = AdditiveGaussianOracle(problem, sd=0.1)
+    reference, _ = solve_ground_truth(problem, graph)
+    params = SolverParams(
+        variant="risfbf", alpha_bar=0.1, max_iters=60, tol=0.0, diagnostics=True,
+        batch=BatchSchedule(1.0, 1.2),
+    )
+    _, t_mono = run(problem, graph, oracle, params, seed=5, reference=reference)
+    _, t_net, _ = run_distributed(problem, graph, oracle, params, seed=5, reference=reference)
+    assert t_mono.state_hash == t_net.state_hash
+    mono, net = diagnostics_check(t_mono, reference), diagnostics_check(t_net, reference)
+    for field in dataclasses.fields(DiagnosticsReport):
+        assert np.array_equal(getattr(mono, field.name), getattr(net, field.name)), field.name
+    assert len(mono.dm) == 60
+    assert t_mono.recursion.multiplier_floor == t_net.recursion.multiplier_floor

@@ -573,6 +573,49 @@ def test_pseudogradient_errors_name_the_agent(monotone_small):
     assert np.array_equal(got, huge)
 
 
+@pytest.mark.parametrize("instance", ["affine-monotone-small", "cournot-market"])
+def test_pseudogradient_on_rows_is_the_per_point_call(instance):
+    if instance == "cournot-market":
+        from gnes.cournot import CournotConfig, generate
+
+        problem, _, _ = generate(CournotConfig(seed=0))
+    else:
+        problem, _ = load_builtin(instance)
+    part = problem.partition
+    rng = np.random.default_rng(12)
+    points = rng.uniform(0.0, 60.0, size=(part.num_agents, part.total_dim))
+    rows = problem.pseudogradient(points)
+    assert np.array_equal(rows, np.stack([problem.pseudogradient(u) for u in points]))
+    # on one profile per agent, agent i keeps its block of row i
+    own = problem.stacked_gradient(points)
+    for i, sl in enumerate(part.primal_slices):
+        assert np.array_equal(own[sl], problem.gradient(i, points[i]))
+
+
+def test_pseudogradient_errors_on_rows_name_the_agent(monotone_small):
+    problem, _ = monotone_small
+    part = problem.partition
+    profiles = np.tile(np.linspace(-1.0, 1.0, part.total_dim), (part.num_agents, 1))
+    short = dataclasses.replace(problem, pseudogradient=lambda v: np.zeros(part.total_dim))
+    with pytest.raises(DimensionMismatchError) as info:
+        short.stacked_gradient(profiles)
+    assert info.value.block == "pseudogradient"
+    with pytest.raises(DimensionMismatchError) as info:
+        problem.stacked_gradient(profiles[:-1])
+    assert info.value.block == "rows"
+
+    def poisoned(v):
+        out = problem.pseudogradient(v)
+        out[..., part.primal_slice(2).start] = np.nan
+        # another agent's row may hold anything outside that agent's block
+        out[0, part.primal_slice(1)] = np.inf
+        return out
+
+    with pytest.raises(NumericError) as info:
+        dataclasses.replace(problem, pseudogradient=poisoned).stacked_gradient(profiles)
+    assert info.value.agent == 2
+
+
 def test_agent_index_out_of_range_is_a_dimension_error(monotone_small):
     from gnes.cournot import CournotConfig, generate
 

@@ -190,6 +190,30 @@ def test_sample_mean_stack_matches_sample_mean():
         assert np.array_equal(out[part.primal_slice(i)], block)
 
 
+@pytest.mark.parametrize("instance", ["cournot-market", "affine-monotone-small"])
+def test_sample_mean_stack_on_profiles_is_each_agent_at_its_row(instance):
+    if instance == "cournot-market":
+        problem, oracle, _ = generate(CournotConfig(seed=0))
+    else:
+        problem, _ = load_builtin(instance)
+        oracle = AdditiveGaussianOracle(problem, sd=0.3)
+    part = problem.partition
+    agents = range(part.num_agents)
+    rng = np.random.default_rng(5)
+    profiles = rng.uniform(0.0, 60.0, size=(part.num_agents, part.total_dim))
+    for size in (1, 3, 14):
+        streams = AgentStreams(8)
+        stacked = np.empty(part.total_dim)
+        generators = [streams.generator(i, 2, PHASE_XI) for i in agents]
+        oracle.sample_mean_stack(profiles, size, agents, generators, stacked)
+        for i in agents:
+            alone = np.empty(part.total_dim)
+            generators = [streams.generator(j, 2, PHASE_XI) for j in agents]
+            oracle.sample_mean_stack(profiles[i], size, agents, generators, alone)
+            sl = part.primal_slice(i)
+            assert np.array_equal(stacked[sl], alone[sl]), (size, i)
+
+
 def test_sample_F_hat_reports_offending_agent():
     problem, _ = load_builtin("affine-two-firms")
     part = problem.partition
