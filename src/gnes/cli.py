@@ -42,7 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, GnesError, is_integer, is_number
+from .errors import (
+    ConfigurationError, DimensionMismatchError, GnesError, check_field_types, is_list, is_number,
+    read_section,
+)
 from .instances import builtin_document, load_document
 from .solver import VARIANTS, SolverParams, diagnostics_check, run, solve_ground_truth
 from .stochastic import (
@@ -56,16 +59,21 @@ logger = logging.getLogger(__name__)
 
 _SOURCES = ("builtin", "instance", "instance_path", "cournot")
 _NOISE_KINDS = ("zero", "gaussian")
-_SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverParams)}
-_TOP_FIELDS = ("problem", "solver", "noise", "seed", "reps", "out", "variants", "alpha_sweep")
 
 
 @dataclass
 class RunConfig:
-    """One fully validated experiment description."""
+    """One fully validated experiment description.
 
-    problem: dict
-    solver: SolverParams
+    Each field is checked on construction, so the Python API refuses
+    what a configuration document refuses, naming the same field.
+    problem is required and solver defaults to SolverParams(); variants
+    and alpha_sweep are stored as tuples. Every replication seed, seed
+    to seed + reps - 1, must fit in an unsigned 64-bit word.
+    """
+
+    problem: dict | None = None
+    solver: SolverParams = dataclasses.field(default_factory=SolverParams)
     noise: dict | None = None
     seed: int = 0
     reps: int = 1
@@ -73,145 +81,81 @@ class RunConfig:
     variants: tuple[str, ...] | None = None
     alpha_sweep: tuple[float, ...] | None = None
 
-
-def _number(value, field: str) -> float:
-    """A finite JSON number as a float; any other value is a configuration error."""
-    if not is_number(value):
-        raise ConfigurationError(
-            f"{field} must be a finite number, not {type(value).__name__}", field=field
-        )
-    return float(value)
-
-
-def _integer(value, field: str) -> int:
-    """A JSON integer; floats, strings and booleans are configuration errors."""
-    if not is_integer(value):
-        raise ConfigurationError(
-            f"{field} must be an integer, not {type(value).__name__}", field=field
-        )
-    return value
-
-
-def _sequence(value, field: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{field} must be a list", field=field)
-    return list(value)
-
-
-def _parse_solver(doc: dict) -> SolverParams:
-    if not isinstance(doc, dict):
-        raise ConfigurationError("solver section must be a mapping", field="solver")
-    unknown = sorted(set(doc) - _SOLVER_FIELDS)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown solver fields: {', '.join(unknown)}", field="solver"
-        )
-    kwargs = dict(doc)
-    if "batch" in kwargs:
-        batch = kwargs["batch"]
-        if not isinstance(batch, dict) or set(batch) - {"scale", "growth"}:
+    def __post_init__(self):
+        check_field_types(self, skip=("problem", "noise", "variants", "alpha_sweep"), coerce=True)
+        if self.problem is None:
+            raise ConfigurationError("a problem source is required", field="problem")
+        if len(read_section(self.problem, _SOURCES, "problem")) != 1:
             raise ConfigurationError(
-                "batch must be a mapping with fields scale and growth", field="batch"
+                f"problem must contain exactly one of: {', '.join(_SOURCES)}",
+                field="problem",
             )
+        if not isinstance(self.solver, SolverParams):
+            raise ConfigurationError("solver must be a SolverParams", field="solver")
+        noise = self.noise
+        if noise is not None:
+            if read_section(noise, ("kind", "sd"), "noise").get("kind") not in _NOISE_KINDS:
+                raise ConfigurationError(
+                    f"noise kind must be one of: {', '.join(_NOISE_KINDS)}", field="noise"
+                )
+            if "sd" in noise and (noise["kind"] == "zero" or not is_number(noise["sd"])):
+                raise ConfigurationError(
+                    "zero noise takes no parameters; gaussian takes sd, a finite number",
+                    field="noise",
+                )
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError("seed must fit in an unsigned 64-bit word", field="seed")
+        if self.reps < 1:
+            raise ConfigurationError("replication count must be >= 1", field="reps")
+        if self.seed + self.reps - 1 >= 2**64:
+            raise ConfigurationError("the last seed, seed + reps - 1, must fit in 64 bits", field="reps")
+        if self.variants is not None:
+            if not is_list(self.variants):
+                raise ConfigurationError("variants must be a list", field="variants")
+            self.variants = tuple(self.variants)
+            bad = [str(v) for v in self.variants if v not in VARIANTS]
+            if bad:
+                raise ConfigurationError(f"unknown variants: {', '.join(bad)}", field="variants")
+        sweep = self.alpha_sweep
+        if sweep is not None:
+            if not (is_list(sweep) and all(map(is_number, sweep))):
+                raise ConfigurationError(
+                    "alpha_sweep must be a list of finite numbers", field="alpha_sweep"
+                )
+            self.alpha_sweep = sweep = tuple(map(float, sweep))
+            if not sweep:
+                raise ConfigurationError("the inertia sweep is empty", field="alpha_sweep")
+            if any(not 0.0 <= a < 1.0 for a in sweep):
+                raise ConfigurationError(
+                    "inertia sweep values must lie in [0, 1)", field="alpha_sweep"
+                )
+            if self.variants is not None:
+                raise ConfigurationError(
+                    "give either variants or alpha_sweep, not both", field="variants"
+                )
+
+
+def _parse_solver(doc) -> SolverParams:
+    kwargs = dict(read_section(doc, SolverParams, "solver"))
+    if "batch" in kwargs:
         try:
-            kwargs["batch"] = BatchSchedule(**batch)
+            kwargs["batch"] = BatchSchedule(**read_section(kwargs["batch"], BatchSchedule, "batch"))
         except ConfigurationError as exc:
             raise ConfigurationError(str(exc), field="batch") from None
     return SolverParams(**kwargs)
 
 
-def _serialize_solver(params: SolverParams) -> dict:
-    doc = dataclasses.asdict(params)
-    if isinstance(params.steps, tuple):
-        doc["steps"] = [np.asarray(v).tolist() for v in params.steps]
-    return doc
-
-
 def parse_config(doc: dict) -> RunConfig:
     """Validate a raw configuration document into a RunConfig."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError("configuration must be a mapping", field="config")
-    unknown = sorted(set(doc) - set(_TOP_FIELDS))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown configuration fields: {', '.join(unknown)}", field="config"
-        )
-    problem = doc.get("problem")
-    if not isinstance(problem, dict):
-        raise ConfigurationError("a problem source is required", field="problem")
-    keys = [k for k in _SOURCES if k in problem]
-    if len(keys) != 1 or set(problem) - set(_SOURCES):
-        raise ConfigurationError(
-            f"problem must contain exactly one of: {', '.join(_SOURCES)}",
-            field="problem",
-        )
-    noise = doc.get("noise")
-    if noise is not None:
-        if not isinstance(noise, dict) or noise.get("kind") not in _NOISE_KINDS:
-            raise ConfigurationError(
-                f"noise kind must be one of: {', '.join(_NOISE_KINDS)}", field="noise"
-            )
-        extra = set(noise) - {"kind", "sd"}
-        if extra or ("sd" in noise and noise["kind"] == "zero"):
-            raise ConfigurationError(
-                "zero noise takes no parameters; gaussian takes sd", field="noise"
-            )
-        if "sd" in noise:
-            _number(noise["sd"], "noise")
-    seed = _integer(doc.get("seed", 0), "seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigurationError("seed must fit in an unsigned 64-bit word", field="seed")
-    reps = _integer(doc.get("reps", 1), "reps")
-    if reps < 1:
-        raise ConfigurationError("replication count must be >= 1", field="reps")
-    out = doc.get("out", "out")
-    if not isinstance(out, str):
-        raise ConfigurationError("out must be a path string", field="out")
-    variants = doc.get("variants")
-    if variants is not None:
-        variants = tuple(str(v) for v in _sequence(variants, "variants"))
-        bad = [v for v in variants if v not in VARIANTS]
-        if bad:
-            raise ConfigurationError(
-                f"unknown variants: {', '.join(bad)}", field="variants"
-            )
-    sweep = doc.get("alpha_sweep")
-    if sweep is not None:
-        sweep = tuple(_number(a, "alpha_sweep") for a in _sequence(sweep, "alpha_sweep"))
-        if not sweep:
-            raise ConfigurationError("the inertia sweep is empty", field="alpha_sweep")
-        if any(not 0.0 <= a < 1.0 for a in sweep):
-            raise ConfigurationError(
-                "inertia sweep values must lie in [0, 1)", field="alpha_sweep"
-            )
-    if variants is not None and sweep is not None:
-        raise ConfigurationError(
-            "give either variants or alpha_sweep, not both", field="variants"
-        )
-    return RunConfig(
-        problem=copy.deepcopy(problem),
-        solver=_parse_solver(doc.get("solver", {})),
-        noise=copy.deepcopy(noise),
-        seed=seed,
-        reps=reps,
-        out=out,
-        variants=variants,
-        alpha_sweep=sweep,
-    )
+    doc = copy.deepcopy(read_section(doc, RunConfig, "config"))
+    if "solver" in doc:
+        doc["solver"] = _parse_solver(doc["solver"])
+    return RunConfig(**doc)
 
 
 def serialize_config(config: RunConfig) -> dict:
     """JSON-ready document; parse(serialize(c)) == c."""
-    return {
-        "problem": copy.deepcopy(config.problem),
-        "solver": _serialize_solver(config.solver),
-        "noise": copy.deepcopy(config.noise),
-        "seed": config.seed,
-        "reps": config.reps,
-        "out": config.out,
-        "variants": list(config.variants) if config.variants is not None else None,
-        "alpha_sweep": list(config.alpha_sweep) if config.alpha_sweep is not None else None,
-    }
+    return dataclasses.asdict(config)
 
 
 def resolve_problem(config: RunConfig, allow_nonmonotone: bool = False):
@@ -226,9 +170,9 @@ def resolve_problem(config: RunConfig, allow_nonmonotone: bool = False):
     else:
         doc = {"kind": "cournot", "config": copy.deepcopy(src["cournot"])}
     if isinstance(doc, dict) and doc.get("kind") == "cournot" and allow_nonmonotone:
-        cfg = doc.get("config") or {}
+        cfg = doc.get("config")
         if isinstance(cfg, dict):
-            doc = {"kind": "cournot", "config": dict(cfg, allow_nonmonotone=True)}
+            doc = dict(doc, config=dict(cfg, allow_nonmonotone=True))
     return load_document(doc)
 
 

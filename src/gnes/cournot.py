@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockvec import AgentPartition
-from .errors import ConfigurationError, check_field_types, is_integer, is_list
+from .errors import ConfigurationError, check_field_types, is_integer, is_list, read_section
 from .graph import CommGraph, generate_graph
 from .operators import GameProblem
 from .stochastic import SamplingOracle
@@ -82,12 +82,7 @@ class CournotConfig:
     @classmethod
     def from_settings(cls, settings, **overrides) -> "CournotConfig":
         """The config of a settings mapping; a malformed one is a ConfigurationError."""
-        if not isinstance(settings, dict):
-            raise ConfigurationError("cournot config must be a mapping", field="config")
-        try:
-            return cls(**{**settings, **overrides})
-        except TypeError as exc:  # an unknown setting
-            raise ConfigurationError(f"bad cournot config: {exc}", field="config") from None
+        return cls(**{**read_section(settings, cls, "config"), **overrides})
 
     def __post_init__(self):
         check_field_types(self, skip=("participation",))

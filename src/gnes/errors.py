@@ -55,6 +55,22 @@ _FIELD_KINDS = {
 }
 
 
+def read_section(doc, names, section: str) -> dict:
+    """doc, refused unless it is a mapping whose keys are all in names.
+
+    names is a dataclass (its field names) or a tuple of names. The
+    error names the section, listing unknown keys sorted as strings.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{section} must be a mapping", field=section)
+    if dataclasses.is_dataclass(names):
+        names = [f.name for f in dataclasses.fields(names)]
+    unknown = sorted(str(key) for key in doc if key not in names)
+    if unknown:
+        raise ConfigurationError(f"unknown {section} keys: {', '.join(unknown)}", field=section)
+    return doc
+
+
 def check_field_types(config, skip: tuple = (), coerce: bool = False):
     """Check each field of the dataclass config against the type of its default.
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .blockvec import AgentPartition, OrderedRows
 from .cournot import CournotConfig, generate
-from .errors import ConfigurationError, is_integer, is_list, is_number
+from .errors import ConfigurationError, is_integer, is_list, is_number, read_section
 from .graph import CommGraph, generate_graph, largest_eigenvalue_psd
 from .operators import GameProblem
 
@@ -144,11 +144,11 @@ def builtin_document(name: str) -> dict:
 
 
 def _graph_from_spec(spec, n: int) -> CommGraph:
-    if not isinstance(spec, dict):
-        raise ConfigurationError("graph spec must be a mapping", field="graph")
-    if "weights" in spec:
-        return CommGraph(_numbers(spec["weights"], "graph", (n, n)))
-    name = spec.get("name")
+    """A weights matrix, or a generator name with optional p, seed and weight."""
+    if isinstance(spec, dict) and "weights" in spec:
+        weights = read_section(spec, ("weights",), "graph")["weights"]
+        return CommGraph(_numbers(weights, "graph", (n, n)))
+    name = read_section(spec, ("name", "p", "seed", "weight"), "graph").get("name")
     if name is None:
         raise ConfigurationError(
             "graph spec needs either a weights matrix or a generator name",
@@ -190,6 +190,12 @@ def _blocks(doc: dict, key: str, shapes: list, infinite: bool = False) -> tuple:
     if not is_list(value) or len(value) != len(shapes):
         raise ConfigurationError(f"{key} needs one entry per agent", field=key)
     return tuple(_numbers(v, key, shape, infinite) for v, shape in zip(value, shapes))
+
+
+_AFFINE_KEYS = (
+    "kind", "dims", "num_constraints", "M", "q", "box_lo", "box_hi", "D", "b", "graph",
+    "lipschitz_ell",
+)
 
 
 def _build_affine(doc: dict) -> tuple[GameProblem, CommGraph]:
@@ -236,13 +242,17 @@ def load_document(doc: dict):
 
     Affine documents carry no sampling model, so the oracle slot is
     None and the runner chooses one; Cournot documents return their
-    demand oracle.
+    demand oracle. A document that is not a mapping, or holds a key
+    its kind does not take, is refused naming the field instance.
     """
+    if not isinstance(doc, dict):
+        raise ConfigurationError("an instance document must be a mapping", field="instance")
     kind = _require(doc, "kind")
     if kind == "affine":
-        problem, graph = _build_affine(doc)
+        problem, graph = _build_affine(read_section(doc, _AFFINE_KEYS, "instance"))
         return problem, graph, None
     if kind == "cournot":
-        problem, oracle, graph = generate(CournotConfig.from_settings(_require(doc, "config")))
+        settings = _require(read_section(doc, ("kind", "config"), "instance"), "config")
+        problem, oracle, graph = generate(CournotConfig.from_settings(settings))
         return problem, graph, oracle
     raise ConfigurationError(f"unknown instance kind {kind!r}", field="kind")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, NumericError, check_field_types
+from .errors import ConfigurationError, DimensionMismatchError, NumericError, check_field_types, is_integer
 
 __all__ = [
     "PHASE_XI",
@@ -80,6 +80,9 @@ class AgentStreams:
     __slots__ = ("seed", "_slots")
 
     def __init__(self, seed: int):
+        # a seed outside 64 bits would alias another seed's key
+        if not (is_integer(seed) and 0 <= seed < 2**64):
+            raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {seed!r}", field="seed")
         self.seed = int(seed)
         self._slots: dict[tuple[int, int], tuple] = {}
 
@@ -91,7 +94,7 @@ class AgentStreams:
             if phase not in (PHASE_XI, PHASE_ETA):
                 raise ConfigurationError(f"unknown phase {phase}", field="phase")
             # the key's second word is set to (agent, iteration, phase) before each use
-            key = [self.seed & 0xFFFFFFFFFFFFFFFF, 0]
+            key = [self.seed, 0]
             bg = np.random.Philox(key=np.array(key, dtype=np.uint64))
             gen = np.random.Generator(bg)
             state = {

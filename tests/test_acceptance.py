@@ -24,7 +24,7 @@ from gnes.solver import (
 )
 from gnes.stochastic import AdditiveGaussianOracle, BatchSchedule, ZeroNoiseOracle
 
-from conftest import load_builtin
+from gnes_test_helpers import load_builtin
 
 
 def _split(problem, state):

@@ -23,7 +23,7 @@ from gnes.stochastic import (
     ZeroNoiseOracle,
 )
 
-from conftest import load_builtin, random_affine_game
+from gnes_test_helpers import load_builtin, random_affine_game
 
 
 def _both(problem, graph, oracle, params, seed):

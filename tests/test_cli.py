@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from gnes.cli import RunConfig, main, parse_config, serialize_config
 from gnes.errors import ConfigurationError
 from gnes.instances import builtin_document
+from gnes.solver import SolverParams
 
 
 def base_doc(**overrides):
@@ -47,6 +49,8 @@ ROUND_TRIP_DOCS = [
     base_doc(noise={"kind": "gaussian", "sd": 0.25}, reps=3, out="elsewhere"),
     base_doc(variants=["risfbf", "sfbf", "sfb"]),
     base_doc(alpha_sweep=[0.0, 0.1, 0.3]),
+    base_doc(seed=2**64 - 2, reps=2),
+    {"problem": {"builtin": "affine-tiny"}},
 ]
 
 
@@ -56,9 +60,33 @@ def test_config_round_trip(doc):
     assert parse_config(serialize_config(config)) == config
 
 
+_TOP_LEVEL_FIELDS = {f.name for f in dataclasses.fields(RunConfig)} - {"solver"}
+
+
+def config_entry_points(field):
+    """parse_config, and for a top-level field also a direct RunConfig call."""
+    yield parse_config
+    if field in _TOP_LEVEL_FIELDS:
+        yield lambda doc: RunConfig(**dict(doc, solver=SolverParams(**doc["solver"])))
+
+
+def assert_fields(cases):
+    for doc, field in cases:
+        for entry in config_entry_points(field):
+            with pytest.raises(ConfigurationError) as info:
+                entry(doc)
+            assert info.value.field == field, (entry, doc)
+
+
 def test_config_rejections():
+    no_problem = base_doc()
+    del no_problem["problem"]
     cases = [
         (base_doc(extra=1), "config"),
+        ({**base_doc(), 1: 0, "x": 0}, "config"),
+        (base_doc(solver=None), "solver"),
+        (no_problem, "problem"),
+        (base_doc(problem=None), "problem"),
         (base_doc(solver={"gamma": 0.1}), "solver"),
         (base_doc(problem={}), "problem"),
         (base_doc(problem={"builtin": "affine-tiny", "cournot": {}}), "problem"),
@@ -69,17 +97,16 @@ def test_config_rejections():
         (base_doc(seed=-1), "seed"),
         (base_doc(seed=2**64), "seed"),
         (base_doc(reps=0), "reps"),
+        (base_doc(seed=2**64 - 1, reps=2), "reps"),
         (base_doc(variants=["sfbf", "newton"]), "variants"),
         (base_doc(alpha_sweep=[0.5, 1.0]), "alpha_sweep"),
         (base_doc(alpha_sweep=[]), "alpha_sweep"),
         (base_doc(variants=["risfbf", "sfbf"], alpha_sweep=[0.1]), "variants"),
         (base_doc(solver={"steps": [0.1, 0.2]}), "steps"),
         (base_doc(solver={"batch": {"scale": 1.0, "rate": 2.0}}), "batch"),
+        (base_doc(solver={"batch": [1.0, 2.0]}), "batch"),
     ]
-    for doc, field in cases:
-        with pytest.raises(ConfigurationError) as info:
-            parse_config(doc)
-        assert info.value.field == field, doc
+    assert_fields(cases)
 
 
 def test_config_type_errors_name_the_field():
@@ -99,11 +126,11 @@ def test_config_type_errors_name_the_field():
         (base_doc(alpha_sweep=[0.1, None]), "alpha_sweep"),
         (base_doc(alpha_sweep=[10**400]), "alpha_sweep"),
         (base_doc(out=3), "out"),
+        (base_doc(reps=2.0), "reps"),
+        (base_doc(problem=["builtin"]), "problem"),
+        (base_doc(noise="gaussian"), "noise"),
     ]
-    for doc, field in cases:
-        with pytest.raises(ConfigurationError) as info:
-            parse_config(doc)
-        assert info.value.field == field, doc
+    assert_fields(cases)
 
 
 _JSON_VALUES = st.recursive(
@@ -211,6 +238,14 @@ _MALFORMED_AFFINE = {
     "graph weight a string": (_affine_doc(graph={"name": "ring", "weight": "heavy"}), "graph"),
     "graph not a mapping": (_affine_doc(graph=3), "graph"),
     "negative graph seed": (_affine_doc(graph={"name": "erdos-renyi", "p": 0.5, "seed": -1}), "seed"),
+    "instance not a mapping": (3, "instance"),
+    "misspelt lipschitz_ell": (_affine_doc(lipschitz_el=50.0), "instance"),
+    "misspelt graph weight": (_affine_doc(graph={"name": "ring", "wieght": 2.0}), "graph"),
+    "graph weights and a name": (
+        _affine_doc(graph={"weights": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+                           "name": "ring"}),
+        "graph",
+    ),
 }
 
 
@@ -559,3 +594,13 @@ def test_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", seeded, "--seed", "-3"]) == 2
     assert json.loads(capsys.readouterr().err)["field"] == "seed"
     assert main(["run", "--config", seeded, "--reps", "0"]) == 2
+    capsys.readouterr()
+    number = tmp_path / "number.json"
+    number.write_text("3")
+    cournot = {"kind": "cournot", "config": {"seed": 0}, "extra": 1}
+    for problem in ({"instance_path": str(number)}, {"instance": cournot}):
+        path = write_config(tmp_path, base_doc(problem=problem), "instance.json")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        text = capsys.readouterr().err
+        assert "Traceback" not in text
+        assert json.loads(text)["field"] == "instance"

@@ -14,7 +14,7 @@ from gnes.errors import ConfigurationError
 from gnes.instances import load_document
 from gnes.stochastic import PHASE_ETA, AgentStreams
 
-from conftest import estimate_lipschitz_unchunked, monotonicity_probe
+from gnes_test_helpers import estimate_lipschitz_unchunked, monotonicity_probe
 
 
 def two_firm_config(**overrides):
@@ -295,3 +295,10 @@ def test_document_roundtrip():
         load_document({"kind": "cournot", "config": {"seed": 0, "bogus": 1}})
     with pytest.raises(ConfigurationError):
         load_document({"kind": "cournot", "config": [1, 2]})
+    for bad in ({"kind": "cournot", "config": {}, "seed": 1}, 3):
+        with pytest.raises(ConfigurationError) as info:
+            load_document(bad)
+        assert info.value.field == "instance"
+    with pytest.raises(ConfigurationError) as info:
+        CournotConfig.from_settings({"seed": 0, 1: 0, "x": 0})
+    assert (info.value.field, str(info.value)) == ("config", "unknown config keys: 1, x")

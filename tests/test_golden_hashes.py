@@ -20,7 +20,7 @@ from gnes.instances import load_document
 from gnes.solver import SolverParams, diagnostics_check, run, solve_ground_truth
 from gnes.stochastic import AdditiveGaussianOracle, BatchSchedule
 
-from conftest import load_builtin
+from gnes_test_helpers import load_builtin
 
 AFFINE = {
     "risfbf": "c5467a278badd135d848d75d3dfcf6f999a66133103c4298e2c9a2ab59301ef7",

@@ -7,7 +7,7 @@ from gnes.errors import ConfigurationError
 from gnes.graph import CommGraph, generate_graph, laplacian_block, largest_eigenvalue_psd
 from gnes.operators import ExtendedOperator
 
-from conftest import random_affine_game
+from gnes_test_helpers import random_affine_game
 
 
 def test_ring_laplacian():

@@ -18,7 +18,7 @@ from gnes.operators import (
 from gnes.solver import solve_ground_truth
 from gnes.stochastic import PHASE_XI, AdditiveGaussianOracle, AgentStreams, sample_V_hat
 
-from conftest import dykstra_projection, load_builtin, random_affine_game, random_state
+from gnes_test_helpers import dykstra_projection, load_builtin, random_affine_game, random_state
 
 
 def two_agent_game():

@@ -29,7 +29,7 @@ from gnes.solver import (
 )
 from gnes.stochastic import AdditiveGaussianOracle, BatchSchedule, SamplingOracle, ZeroNoiseOracle
 
-from conftest import load_builtin, scalar_game
+from gnes_test_helpers import load_builtin, scalar_game
 
 
 # final-iterate references of the deterministic reference solves
@@ -634,3 +634,14 @@ def test_consensus_gap_matches_dense_pairs():
             diffs = lammat[:, None, :] - lammat[None, :, :]
             dense = float(np.sqrt((diffs * diffs).sum(axis=2)).max())
             assert consensus_gap(AgentPartition((1,) * n, m), lam) == dense, (n, m)
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_both_executors_refuse_a_seed_outside_64_bits(seed):
+    problem, graph = load_builtin("affine-tiny")
+    oracle = AdditiveGaussianOracle(problem, sd=0.1)
+    params = SolverParams(max_iters=2)
+    for executor in (run, run_distributed):
+        with pytest.raises(ConfigurationError) as info:
+            executor(problem, graph, oracle, params, seed=seed)
+        assert info.value.field == "seed"

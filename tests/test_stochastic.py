@@ -21,7 +21,7 @@ from gnes.stochastic import (
     sample_V_hat,
 )
 
-from conftest import estimate_noise_bound, load_builtin
+from gnes_test_helpers import estimate_noise_bound, load_builtin
 
 
 def test_batch_schedule_values():
@@ -56,6 +56,14 @@ def test_streams_are_deterministic_and_keyed():
     assert not np.array_equal(base, draw(b, 1, 8, PHASE_XI))
     assert not np.array_equal(base, draw(b, 1, 7, PHASE_ETA))
     assert not np.array_equal(base, draw(AgentStreams(43), 1, 7, PHASE_XI))
+
+
+def test_streams_refuse_seeds_outside_64_bits():
+    assert AgentStreams(2**64 - 1).seed == 2**64 - 1
+    for seed in (2**64, -1, 1.0, True, "0"):
+        with pytest.raises(ConfigurationError) as info:
+            AgentStreams(seed)
+        assert info.value.field == "seed"
 
 
 def test_streams_rekey_does_not_leak_state():
