@@ -20,7 +20,8 @@ every read stays local to its agent:
   when they are built;
 - kernel: agent i applies its rows of A to its local vector, whose
   columns keep their ascending global order. The node kernels form one
-  block-diagonal OrderedRows, so every row gives the runner's floats.
+  OrderedRows over the stacked local vectors, so every row gives the
+  runner's floats.
 
 F-hat is sampled through the runner's own sampling call on the rows of
 profiles, each agent from its own stream, so both executors run the
@@ -174,38 +175,37 @@ class AgentNode:
         # what each node reads: the blocks of its profile row (its own and
         # its interaction partners'), then its local vector (own u, then mu
         # and lambda of itself and its graph neighbours, ascending)
-        dst, reader, row, kernels, at = [], [], [], [], n * d
+        dst, reader, row, at = [], [], [], n * d
         for i in range(n):
             partners = np.union1d(problem.interaction[i], [i])
             profile = np.concatenate([np.r_[part.primal_slices[j]] for j in partners])
             peers = (np.union1d(op.graph.neighbors[i], [i])[:, None] * m + within).ravel()
             cols = np.concatenate((np.r_[part.primal_slices[i]], d + peers, d + nm + peers))
-            mine = np.flatnonzero(owner == i)
-            kernels.append((mine, op.affine.restrict(mine, cols)))
             dst += [i * d + profile, at + np.arange(cols.size)]
             row += [profile, cols]
             reader.append(np.full(profile.size + cols.size, i))
             at += cols.size
         dst, reader, row = np.concatenate(dst), np.concatenate(reader), np.concatenate(row)
-        # node i finds row r among its own rows of the point or in an inbox
-        # slot addressed to it, looked up by the key i * sd + r
-        keys = np.concatenate((owner * sd + np.arange(sd), bus.receiver * sd + bus.rows))
-        order = np.argsort(keys)
-        found = order[np.searchsorted(keys[order], reader * sd + row).clip(max=keys.size - 1)]
+        # a node's rows are looked up by the key i * sd + r: node i finds
+        # row r among its own rows of the point or in an inbox slot
+        # addressed to it
+        found = _lookup(
+            np.concatenate((owner * sd + np.arange(sd), bus.receiver * sd + bus.rows)), reader * sd + row
+        )
         held = found < sd
         self._own_dst, self._own_src = dst[held], found[held]
         self._in_dst, self._in_src = dst[~held], found[~held] - sd
-        if not (
-            np.array_equal(keys[found], reader * sd + row)
-            and np.array_equal(owner[self._own_src], reader[held])
-            and np.array_equal(bus.receiver[self._in_src], reader[~held])
-        ):
-            raise AssertionError("an agent node reads a row it neither holds nor receives")
+        # the kernel's entry (r, c, v) multiplies the place where node
+        # owner[r] keeps row c in its local vector, whose columns ascend
+        # in global order, so every row sums in the runner's order
+        local = dst >= n * d
+        r, c, v = op.affine.entries
+        at_col = _lookup(reader[local] * sd + row[local], owner[r] * sd + c)
+        self.kernel = OrderedRows((sd, at - n * d), r, at_col, v)
         # profile rows stay zero where a node reads nothing
         self._work = np.zeros(at)
         self._profiles = self._work[: n * d].reshape(n, d)
         self._local = self._work[n * d :]
-        self.kernel = OrderedRows.block_diagonal(sd, kernels)
         self.offset = op.offset
         self.steps = psi.inv_weights
         self.lo = op.lo
@@ -252,6 +252,15 @@ class AgentNode:
     def fb_update(self, x: np.ndarray, k: int, size: int) -> np.ndarray:
         a = self.operator_value(x, k, PHASE_XI, size)
         return self._resolvent(x - self.steps * a)
+
+
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The position in keys of every query; each must be there."""
+    order = np.argsort(keys)
+    found = order[np.searchsorted(keys[order], queries).clip(max=keys.size - 1)]
+    if not np.array_equal(keys[found], queries):
+        raise AssertionError("an agent node reads a row it neither holds nor receives")
+    return found
 
 
 @dataclass

@@ -112,10 +112,11 @@ class OrderedRows:
     Row r of the result is accumulated over the nonzero entries of row r
     in ascending column order, left to right from the first product; a
     row without entries gives 0.0. The work is elementwise multiplies
-    and adds, so evaluating all rows at once or only some of them
-    (restrict) gives the same floats. This is how the stacked solver and
-    the agent nodes stay bit-identical. x is either a vector or a matrix
-    whose rows are combined as wholes.
+    and adds, so evaluating all rows at once or only some of them gives
+    the same floats. This is how the stacked solver and the agent nodes
+    stay bit-identical. x is either a vector or a matrix whose rows are
+    combined as wholes. entries holds the kept (rows, cols, vals), sorted
+    by row and then by column.
 
     All products are formed in one gather and one multiply. Rows are
     ordered by decreasing entry count, so the t-th products of all rows
@@ -123,7 +124,7 @@ class OrderedRows:
     products, one slice per t; one gather restores the row order.
     """
 
-    __slots__ = ("shape", "_entries", "_cols", "_vals", "_vcol", "_live", "_spans", "_gather", "_empty")
+    __slots__ = ("shape", "entries", "_cols", "_vals", "_vcol", "_live", "_spans", "_gather", "_empty")
 
     def __init__(self, shape: tuple[int, int], rows, cols, vals):
         rows = np.asarray(rows, dtype=np.int64)
@@ -134,7 +135,7 @@ class OrderedRows:
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         self.shape = (int(shape[0]), int(shape[1]))
-        self._entries = (rows, cols, vals)
+        self.entries = (rows, cols, vals)
         counts = np.bincount(rows, minlength=self.shape[0])
         by_count = np.argsort(-counts, kind="stable")
         rank = np.empty_like(by_count)
@@ -163,45 +164,6 @@ class OrderedRows:
         a = np.asarray(a, dtype=np.float64)
         rows, cols = np.nonzero(a)
         return cls(a.shape, rows, cols, a[rows, cols])
-
-    @classmethod
-    def block_diagonal(cls, num_rows: int, blocks) -> "OrderedRows":
-        """Kernels side by side: blocks holds (at, kernel) pairs, and row r of a kernel becomes row at[r].
-
-        Each kernel's columns follow those of the kernel before it, in
-        the same order, so every row gives the floats of its kernel's
-        row on the matching entries of x.
-        """
-        rows, cols, vals, width = [], [], [], 0
-        for at, kernel in blocks:
-            r, c, v = kernel._entries
-            rows.append(np.asarray(at, dtype=np.int64)[r])
-            cols.append(c + width)
-            vals.append(v)
-            width += kernel.shape[1]
-        return cls((num_rows, width), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-
-    def restrict(self, rows, cols) -> "OrderedRows":
-        """The given rows over the given columns, both renumbered from 0.
-
-        cols must ascend and hold every nonzero column of those rows. The
-        renumbering keeps the column order, so on the matching entries
-        of x each row gives the floats of the same row of self.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if np.any(np.diff(cols) <= 0):
-            raise DimensionMismatchError("restricted columns must ascend", block="columns")
-        row_at = np.full(self.shape[0], -1)
-        row_at[rows] = np.arange(rows.size)
-        col_at = np.full(self.shape[1], -1)
-        col_at[cols] = np.arange(cols.size)
-        r, c, v = self._entries
-        sel = row_at[r] >= 0
-        c = col_at[c[sel]]
-        if np.any(c < 0):
-            raise DimensionMismatchError("a kept row has entries outside the columns", block="columns")
-        return OrderedRows((rows.size, cols.size), row_at[r[sel]], c, v[sel])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if not self._live:

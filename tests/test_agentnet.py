@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnes.agentnet import AgentNode, Exchange, Message, run_distributed
-from gnes.blockvec import AgentPartition, Preconditioner
+from gnes.blockvec import AgentPartition, OrderedRows, Preconditioner
 from gnes.cournot import CournotConfig, generate
 from gnes.errors import ConfigurationError
 from gnes.graph import CommGraph, generate_graph
@@ -162,6 +162,18 @@ def test_node_rows_ignore_every_block_outside_the_inbox():
             moved = x.copy()
             moved[outside] += np.abs(rng.normal(size=outside.size)) * 5.0
             assert np.array_equal(nodes.operator_value(moved, 3, PHASE_ETA, 4)[rows], base)
+
+
+def test_nodes_refuse_a_kernel_entry_outside_the_local_vector(monotone_small):
+    # node 0 keeps only its own u block, so an entry of its row that reads
+    # agent 1's u has no place in its local vector
+    problem, graph = monotone_small
+    op = ExtendedOperator(problem, graph)
+    r, c, v = op.affine.entries
+    other = problem.partition.primal_slices[1].start
+    op.affine = OrderedRows(op.affine.shape, np.append(r, 0), np.append(c, other), np.append(v, 1.0))
+    with pytest.raises(AssertionError, match="neither holds nor receives"):
+        AgentNode(op, ZeroNoiseOracle(problem), Preconditioner.uniform(problem.partition, 0.1), 0, False)
 
 
 def test_noise_free_nodes_key_no_stream(monkeypatch):

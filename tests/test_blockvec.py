@@ -138,27 +138,3 @@ def test_ordered_rows_sums_left_to_right_and_empty_rows_are_zero():
     assert got[1] == 0.0
     assert got[2] == 2e-16
     assert np.array_equal(OrderedRows.from_dense(np.zeros((2, 3)))(x), [0.0, 0.0])
-
-
-def test_ordered_rows_restrict_keeps_the_floats_of_its_rows():
-    rng = np.random.default_rng(19)
-    for _ in range(200):
-        rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
-        a = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.5)
-        full = OrderedRows.from_dense(a)
-        x = rng.normal(size=cols)
-        keep = rng.permutation(rows)[: int(rng.integers(1, rows + 1))]
-        # every nonzero column of the kept rows, plus some others
-        used = np.flatnonzero(np.any(a[keep] != 0.0, axis=0) | (rng.random(cols) < 0.3))
-        sub = full.restrict(keep, used)
-        assert sub.shape == (keep.size, used.size)
-        assert np.array_equal(sub(x[used]), full(x)[keep])
-
-
-def test_ordered_rows_restrict_rejects_bad_columns():
-    full = OrderedRows.from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 3.0]]))
-    with pytest.raises(DimensionMismatchError):
-        full.restrict([0], [1, 0])
-    with pytest.raises(DimensionMismatchError):
-        full.restrict([0], [0])
-    assert np.array_equal(full.restrict([1], [2])(np.array([2.0])), [6.0])
