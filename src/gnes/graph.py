@@ -1,4 +1,9 @@
-"""Weighted communication graphs and the per-agent Laplacian block.
+"""Weighted communication graphs, the per-agent Laplacian block, and the
+spectral norms the step rules rest on.
+
+largest_eigenvalue_psd gives every such norm (the Laplacian's lap_norm
+here, the constraint norm and the affine ell elsewhere) as an upper
+bound: the eigensolver's value plus a margin for its rounding.
 
 The Laplacian acts on stacked dual vectors blockwise, one m-block per
 agent, as L (x) I_m; the N m x N m Kronecker form is never materialized.
@@ -14,7 +19,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import ConfigurationError, ToleranceError
+from .errors import ConfigurationError
 
 __all__ = [
     "CommGraph",
@@ -24,33 +29,16 @@ __all__ = [
 ]
 
 
-def largest_eigenvalue_psd(mat: np.ndarray, tol: float = 1e-10, max_iters: int = 200000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
+def largest_eigenvalue_psd(mat: np.ndarray) -> float:
+    """An upper bound on the largest eigenvalue of a symmetric PSD matrix.
 
-    Converges to relative tolerance tol in the Rayleigh quotient. The
-    start vector is drawn from a fixed stream, so results are
-    deterministic for a given matrix.
+    The dense symmetric eigensolver's value plus n eps ||mat||_inf, a
+    margin that covers its rounding, so the step rules built on this
+    bound are never handed an underestimate.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    v = np.random.default_rng(0x9E3779B9).standard_normal(mat.shape[0])
-    v /= np.linalg.norm(v)
-    prev = np.inf
-    for _ in range(max_iters):
-        w = mat @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v lies in the kernel and the matrix pushed it to zero;
-            # for PSD matrices this only happens when mat is zero.
-            return 0.0
-        v = w / nw
-        lam = float(v @ (mat @ v))
-        if abs(lam - prev) <= tol * max(1.0, abs(lam)):
-            return lam
-        prev = lam
-    raise ToleranceError(
-        "power iteration did not reach the requested relative tolerance",
-        achieved=abs(lam - prev),
-    )
+    margin = mat.shape[0] * np.finfo(np.float64).eps * np.abs(mat).sum(axis=1).max()
+    return float(np.linalg.eigvalsh(mat)[-1] + margin)
 
 
 class CommGraph:
@@ -67,8 +55,9 @@ class CommGraph:
     max_degree : float
         Largest weighted degree.
     lap_norm : float
-        Largest Laplacian eigenvalue (the spectral norm of L, since L
-        is symmetric PSD). Satisfies max_degree <= lap_norm <= 2 max_degree.
+        An upper bound on the largest Laplacian eigenvalue, the spectral
+        norm of L (largest_eigenvalue_psd). Satisfies
+        max_degree <= lap_norm <= 2 max_degree up to that bound's margin.
     """
 
     __slots__ = (

@@ -6,8 +6,11 @@ executors. A change that is meant to move the floats (a new kernel, a
 different summation order) updates them on purpose and says so. The
 AFFINE and DIAGNOSTICS values were updated once that way, when the affine
 F(u) = M u + q became one OrderedRows of M, which sums each row in column
-order; MARKET has not moved. RESIDUALS pins the natural residual recorded
-at every iteration, which goes through the projection onto the shared set.
+order. All of them were updated once more when the spectral norms behind
+the automatic steps (the Laplacian's, D's and the affine ell) became
+eigensolver upper bounds, which moved every step in its last bits.
+RESIDUALS pins the natural residual recorded at every iteration, which
+goes through the projection onto the shared set.
 """
 
 import hashlib
@@ -23,28 +26,26 @@ from gnes.stochastic import AdditiveGaussianOracle, BatchSchedule
 from gnes_test_helpers import load_builtin
 
 AFFINE = {
-    "risfbf": "c5467a278badd135d848d75d3dfcf6f999a66133103c4298e2c9a2ab59301ef7",
-    "sfbf": "79e990698a220c83e6921ea9e5c5fceefbb7073684dee0715f5a9af9a10130c3",
-    "sfb": "03af878adca4ffb6786c1e9821947632c46fabbed3a1ba5e490849aca4f83352",
+    "risfbf": "b5fab0b4485fd8e3ad286d723ed96e15eae8b899be6116001a7c976e6f52ae93",
+    "sfbf": "8de14b477e0aad8495b77e8c32e04b46286fc87c5985d5cda72f51e37b1459c5",
+    "sfb": "2e067fd7cecbc8a7007a22ebf1fb373c6e8bd5320100a455250ed0e4f3d2bd24",
 }
 MARKET = {
-    "risfbf": "1e2e1f46e4c340c5722888d8cc3735fb425a8a244b2db478b379a6a2498d8292",
-    "sfb": "cb9b4462e72ec2b4edc9c6ad099733e2ff5601c2aa144e585bc8fa028fa1c1ba",
+    "risfbf": "e5618c36dda777c1d565f82b1e2aa52566bcb40e1388c7075b1f93618f392413",
+    "sfb": "277883597576dc0d8cb6669b7e87c7b98c02a9da92ab63dc66c91b834f3b0602",
 }
 DIAGNOSTICS = (
-    "77c8707b32d3b18aefceb0af716fab2eb34102190a9034ee44bddfa219ea81e2",
+    "2e2596dbfdfea1bab44d558d2b4006265150bf38409c4c54d280d313232bc3da",
     # sha256 over the bytes of the report's dm, dn, h, delta, fr_slack,
-    # yzg_slack and coupling arrays, in that order, at the reference solve;
-    # printed when diagnostics_check still replayed stored iterates
-    "e42a51a8531d626c457b3f73f7c49a2cc4927d828ba00f07f5518797ee05bb78",
+    # yzg_slack and coupling arrays, in that order, at the reference solve
+    "f586381d60d9ea163c51138a25ed4ab6ce4fbf92dbe043824c6c4a1ddb34ba7b",
 )
 REPORT_ARRAYS = ("dm", "dn", "h", "delta", "fr_slack", "yzg_slack", "coupling")
 # sha256 over the bytes of trace.res, the natural residual recorded at every
-# iteration; printed when one-row constraint groups still had a solver of
-# their own in proj_shared_set
+# iteration
 RESIDUALS = {
-    "affine": "a2e0f8278a30c5b31c309a11f17270b1d74f4d3166451e1d7d6c67afaa41a916",
-    "market": "17871ca9a814a4359492337d4b43ad2892e0cfdb5aecfb22d5a3eb0990965bcd",
+    "affine": "7e1bc0d0579736add2b2cee97a432d3d41d4078d1e0853b2bb42fbc4a16c9c6e",
+    "market": "33b8cc5011fa400cc02d10b55f1c637dc3ed335dea6947a8e28ebdc9c18b148f",
 }
 
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from gnes.blockvec import AgentPartition, Preconditioner
+from gnes.cournot import CournotConfig, generate
 from gnes.errors import ConfigurationError, DimensionMismatchError, NumericError, ToleranceError
 from gnes.graph import CommGraph
+from gnes.instances import BUILTINS, builtin_document, load_document
 from gnes.operators import (
     ExtendedOperator,
     GameProblem,
@@ -115,6 +117,20 @@ def test_d_norm_is_spectral_norm(monotone_small):
     assert problem.d_norm == pytest.approx(
         np.linalg.norm(problem.D_stack, 2), rel=1e-9
     )
+
+
+def test_norms_are_upper_bounds_on_every_builtin_and_the_market():
+    # the automatic steps need upper bounds on these norms, never estimates
+    # that may fall short of them
+    for name in BUILTINS:
+        doc = builtin_document(name)
+        problem, graph, _ = load_document(doc)
+        assert problem.d_norm >= np.linalg.norm(problem.D_stack, 2), name
+        assert problem.lipschitz_ell >= np.linalg.norm(np.array(doc["M"]), 2), name
+        assert graph.lap_norm >= np.linalg.eigvalsh(graph.laplacian)[-1], name
+    market, _, graph = generate(CournotConfig(seed=0))
+    assert market.d_norm >= np.linalg.norm(market.D_stack, 2)
+    assert graph.lap_norm >= np.linalg.eigvalsh(graph.laplacian)[-1]
 
 
 def test_resolvent_blocks():
