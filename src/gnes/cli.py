@@ -67,9 +67,10 @@ class RunConfig:
 
     Each field is checked on construction, so the Python API refuses
     what a configuration document refuses, naming the same field.
-    problem is required and solver defaults to SolverParams(); variants
-    and alpha_sweep are stored as tuples. Every replication seed, seed
-    to seed + reps - 1, must fit in an unsigned 64-bit word.
+    problem is required, a builtin or instance_path source is a string,
+    and solver defaults to SolverParams(); variants and alpha_sweep are
+    stored as tuples. Every replication seed, seed to seed + reps - 1,
+    must fit in an unsigned 64-bit word.
     """
 
     problem: dict | None = None
@@ -90,6 +91,9 @@ class RunConfig:
                 f"problem must contain exactly one of: {', '.join(_SOURCES)}",
                 field="problem",
             )
+        ((source, value),) = self.problem.items()
+        if source in ("builtin", "instance_path") and type(value) is not str:
+            raise ConfigurationError(f"problem {source} must be a string", field="problem")
         if not isinstance(self.solver, SolverParams):
             raise ConfigurationError("solver must be a SolverParams", field="solver")
         noise = self.noise
@@ -98,9 +102,10 @@ class RunConfig:
                 raise ConfigurationError(
                     f"noise kind must be one of: {', '.join(_NOISE_KINDS)}", field="noise"
                 )
-            if "sd" in noise and (noise["kind"] == "zero" or not is_number(noise["sd"])):
+            sd = noise.get("sd", 0.0)
+            if "sd" in noise and (noise["kind"] == "zero" or not is_number(sd) or sd < 0):
                 raise ConfigurationError(
-                    "zero noise takes no parameters; gaussian takes sd, a finite number",
+                    "zero noise takes no parameters; gaussian takes sd, a finite number >= 0",
                     field="noise",
                 )
         if not 0 <= self.seed < 2**64:
@@ -162,11 +167,11 @@ def resolve_problem(config: RunConfig, allow_nonmonotone: bool = False):
     """Build (problem, graph, instance oracle or None) from the source."""
     src = config.problem
     if "builtin" in src:
-        doc = builtin_document(str(src["builtin"]))
+        doc = builtin_document(src["builtin"])
     elif "instance" in src:
         doc = copy.deepcopy(src["instance"])
     elif "instance_path" in src:
-        doc = _read_json(str(src["instance_path"]))
+        doc = _read_json(src["instance_path"])
     else:
         doc = {"kind": "cournot", "config": copy.deepcopy(src["cournot"])}
     if isinstance(doc, dict) and doc.get("kind") == "cournot" and allow_nonmonotone:

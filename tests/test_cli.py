@@ -94,6 +94,9 @@ def test_config_rejections():
         (base_doc(noise={"kind": "poisson"}), "noise"),
         (base_doc(noise={"kind": "zero", "sd": 0.1}), "noise"),
         (base_doc(noise={"kind": "gaussian", "mean": 1.0}), "noise"),
+        (base_doc(noise={"kind": "gaussian", "sd": -1}), "noise"),
+        (base_doc(problem={"instance_path": 3}), "problem"),
+        (base_doc(problem={"builtin": ["affine-tiny"]}), "problem"),
         (base_doc(seed=-1), "seed"),
         (base_doc(seed=2**64), "seed"),
         (base_doc(reps=0), "reps"),
