@@ -144,6 +144,15 @@ class Exchange:
             self.log.extend((k, phase, kind, i, j, size) for kind, i, j, size in deliveries)
 
 
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The position in keys of every query; each must be there."""
+    order = np.argsort(keys)
+    found = order[np.searchsorted(keys[order], queries).clip(max=keys.size - 1)]
+    if not np.array_equal(keys[found], queries):
+        raise AssertionError("an agent node reads a row it neither holds nor receives")
+    return found
+
+
 class AgentNode:
     """All participants of the networked run, held as one stack.
 
@@ -252,15 +261,6 @@ class AgentNode:
     def fb_update(self, x: np.ndarray, k: int, size: int) -> np.ndarray:
         a = self.operator_value(x, k, PHASE_XI, size)
         return self._resolvent(x - self.steps * a)
-
-
-def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The position in keys of every query; each must be there."""
-    order = np.argsort(keys)
-    found = order[np.searchsorted(keys[order], queries).clip(max=keys.size - 1)]
-    if not np.array_equal(keys[found], queries):
-        raise AssertionError("an agent node reads a row it neither holds nor receives")
-    return found
 
 
 @dataclass

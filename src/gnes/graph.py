@@ -37,7 +37,7 @@ def largest_eigenvalue_psd(mat: np.ndarray) -> float:
     bound are never handed an underestimate.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    margin = mat.shape[0] * np.finfo(np.float64).eps * np.abs(mat).sum(axis=1).max()
+    margin = mat.shape[0] * np.finfo(np.float64).eps * np.linalg.norm(mat, np.inf)
     return float(np.linalg.eigvalsh(mat)[-1] + margin)
 
 
